@@ -809,7 +809,13 @@ def save_tensors(path, tensors: Mapping[str, np.ndarray]) -> None:
 
 
 def load_tensors(path) -> dict:
-    """Read a container written by :func:`save_tensors`; name -> tensor."""
+    """Read a container written by :func:`save_tensors`; name -> tensor.
+
+    The manifest's offsets must tile the payload exactly, in manifest
+    order: each tensor starts where the previous one ends, the first at
+    0, and the last ends at the end of the file. Aliased, overlapping,
+    reordered or gapped offsets and trailing bytes raise ValueError.
+    """
     data = Path(path).read_bytes()
     sep = data.find(b"\n\n")
     if sep < 0:
@@ -819,6 +825,7 @@ def load_tensors(path) -> dict:
         raise ValueError(f"{path}: bad magic line {lines[0]!r}")
     payload = data[sep + 2 :]
     out = {}
+    expected_offset = 0
     for line in lines[1:]:
         parts = line.split(" ")
         if len(parts) != 3:
@@ -833,9 +840,19 @@ def load_tensors(path) -> dict:
             raise ValueError(f"{path}: malformed manifest line {line!r}") from None
         if any(s < 1 for s in shape) or offset < 0:
             raise ValueError(f"{path}: malformed manifest line {line!r}")
+        if offset != expected_offset:
+            raise ValueError(
+                f"{path}: tensor {name!r} starts at payload offset {offset}, "
+                f"expected {expected_offset}"
+            )
         count = int(np.prod(shape))
         if offset + 8 * count > len(payload):
             raise ValueError(f"{path}: payload truncated for tensor {name!r}")
         arr = np.frombuffer(payload, dtype="<f8", count=count, offset=offset)
         out[name] = arr.reshape(shape).astype(np.float64, copy=True)
+        expected_offset = offset + 8 * count
+    if expected_offset != len(payload):
+        raise ValueError(
+            f"{path}: {len(payload) - expected_offset} bytes after the last tensor"
+        )
     return out

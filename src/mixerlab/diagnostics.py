@@ -23,6 +23,8 @@ from .mixer_core import (
     MatrixMixer,
     MixerClass,
     _as_float_array,
+    _check_tol,
+    _rank_against,
 )
 
 __all__ = [
@@ -121,12 +123,9 @@ def numerical_rank(mixer: MatrixMixer, tol: float = DEFAULT_RANK_TOL) -> int:
     The zero matrix has rank 0. SVD non-convergence propagates as
     numpy's LinAlgError.
     """
-    if not (isinstance(tol, (int, float)) and np.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be a positive finite number, got {tol!r}")
+    _check_tol(tol)
     sv = np.linalg.svd(mixer.m, compute_uv=False)
-    if sv[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(sv > tol * sv[0]))
+    return _rank_against(sv, tol, sv[0])
 
 
 def pairwise_l2_histogram(mixer: MatrixMixer, bins: int = 50) -> Histogram:

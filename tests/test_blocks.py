@@ -348,6 +348,23 @@ class TestTensorContainer:
         with pytest.raises(ValueError):
             load_tensors(path)
 
+    @pytest.mark.parametrize(
+        "manifest, payload_bytes",
+        [
+            (("a 2 0", "b 2 0"), 16),  # alias: both names on the same bytes
+            (("a 2 0", "b 2 24"), 40),  # gap: 8 unread bytes between tensors
+            (("a 2 0", "b 2 16"), 40),  # trailing junk after the last tensor
+            (("a 2 16", "b 2 0"), 32),  # reorder: offsets out of manifest order
+        ],
+        ids=["alias", "gap", "trailing", "reorder"],
+    )
+    def test_offsets_must_tile_payload(self, tmp_path, manifest, payload_bytes):
+        path = tmp_path / "t.bin"
+        head = "\n".join((TENSOR_MAGIC,) + manifest).encode("utf-8")
+        path.write_bytes(head + b"\n\n" + bytes(range(payload_bytes)))
+        with pytest.raises(ValueError):
+            load_tensors(path)
+
     def test_whitespace_in_name_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             save_tensors(tmp_path / "t.bin", {"bad name": np.zeros(2)})

@@ -229,6 +229,13 @@ class TestDiagnoseCommand:
         )
         assert code == 2
 
+    def test_corrupt_dump_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "qk.bin"
+        save_tensors(path, {"q": np.zeros((4, 2)), "k": np.zeros((4, 2))})
+        path.write_bytes(path.read_bytes() + b"\x00" * 8)
+        code = main(["diagnose", "--qk_dump", str(path), "--out", str(tmp_path)])
+        assert code == 2
+
     def test_indivisible_heads_rejected(self, tmp_path, capsys):
         code = main(
             ["diagnose", "--d_model", "6", "--num_heads", "4", "--out", str(tmp_path)]

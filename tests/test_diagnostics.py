@@ -105,6 +105,11 @@ class TestNumericalRank:
         assert numerical_rank(dense(m), tol=1e-6) == 2
         assert numerical_rank(dense(m), tol=1e-12) == 3
 
+    def test_bool_tol_rejected(self):
+        for tol in (True, False, 0.0, float("nan")):
+            with pytest.raises(ValueError):
+                numerical_rank(dense(np.eye(3)), tol=tol)
+
 
 class TestPairwiseHistogram:
     def test_matches_double_loop_oracle_exactly(self):

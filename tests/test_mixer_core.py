@@ -4,14 +4,24 @@ import numpy as np
 import pytest
 
 from mixerlab import (
+    DEFAULT_RANK_TOL,
     FeatureSequence,
     MatrixMixer,
     MixerClass,
     ShapeError,
+    StructureReport,
     apply_mixer,
     check_structure,
 )
-from mixerlab.ssm import ScanParams, ssm_mixer
+from mixerlab import mixer_core
+from mixerlab.ssm import (
+    BiMambaParams,
+    HydraParams,
+    ScanParams,
+    bimamba_mixer,
+    hydra_mixer,
+    ssm_mixer,
+)
 
 
 def oracle_block_rank(block, sigma_ref, tol):
@@ -22,16 +32,60 @@ def oracle_block_rank(block, sigma_ref, tol):
     return int(np.sum(s > tol * sigma_ref))
 
 
-def oracle_max_offdiag_rank(m, tol, lower_only=False):
-    """Brute-force sweep of every maximal off-diagonal block."""
+def oracle_structure_report(m, tag, tol=DEFAULT_RANK_TOL):
+    """Brute-force sweep: one full SVD of every maximal off-diagonal block,
+    lower then upper at each split, as check_structure reports them."""
     T = m.shape[0]
     sigma_ref = np.linalg.svd(m, compute_uv=False)[0] if np.any(m) else 0.0
+    upper_limit = 0 if tag.kind == "semiseparable" else tag.order
     worst = 0
+    violations = []
     for i in range(1, T):
-        worst = max(worst, oracle_block_rank(m[i:, :i], sigma_ref, tol))
-        if not lower_only:
-            worst = max(worst, oracle_block_rank(m[:i, i:], sigma_ref, tol))
-    return worst
+        lower = oracle_block_rank(m[i:, :i], sigma_ref, tol)
+        upper = oracle_block_rank(m[:i, i:], sigma_ref, tol)
+        worst = max(worst, lower, upper)
+        if lower > tag.order:
+            violations.append(((i, T, 0, i), lower))
+        if upper > upper_limit:
+            violations.append(((0, i, i, T), upper))
+    return StructureReport(tag, worst, tuple(violations))
+
+
+@pytest.fixture
+def exact_block_svds(monkeypatch):
+    """Count the blocks check_structure hands to an exact SVD."""
+    calls = []
+    exact = mixer_core._block_rank
+
+    def counted(block, tol, sigma_ref):
+        calls.append(block.shape)
+        return exact(block, tol, sigma_ref)
+
+    monkeypatch.setattr(mixer_core, "_block_rank", counted)
+    return calls
+
+
+def seeded_scan_params(rng, T, N):
+    # slow decays keep distant entries above the rank tolerance, so the
+    # off-diagonal blocks reach their full order
+    return ScanParams(
+        a=rng.uniform(0.8, 1.0, T),
+        b=rng.standard_normal((T, N)),
+        c=rng.standard_normal((T, N)),
+    )
+
+
+def seeded_scan_mixers(seed, T, N):
+    rng = np.random.default_rng(seed)
+
+    def scan():
+        return seeded_scan_params(rng, T, N)
+
+    return {
+        "ssm": ssm_mixer(scan()),
+        "bimamba": bimamba_mixer(BiMambaParams(scan(), scan())),
+        "hydra": hydra_mixer(HydraParams(scan(), scan(), rng.standard_normal(T))),
+    }
 
 
 class TestFeatureSequence:
@@ -171,9 +225,10 @@ class TestCheckStructure:
         bad_report = check_structure(mixer, class_tag=MixerClass.semiseparable(1))
         assert not bad_report.ok
         assert len(bad_report.violations) >= 1
-        oracle = oracle_max_offdiag_rank(mixer.m, 1e-6, lower_only=True)
-        assert ok_report.max_offdiag_block_rank == oracle
-        assert oracle == 2
+        oracle = oracle_structure_report(mixer.m, MixerClass.semiseparable(2), 1e-6)
+        assert ok_report == oracle
+        assert oracle.max_offdiag_block_rank == 2
+        assert bad_report == oracle_structure_report(mixer.m, MixerClass.semiseparable(1), 1e-6)
 
     def test_semiseparable_rejects_upper_mass(self):
         """An upper-triangular entry kills the lower-triangular class."""
@@ -215,7 +270,98 @@ class TestCheckStructure:
         for _ in range(20):
             T = int(rng.integers(2, 9))
             m = rng.standard_normal((T, T))
-            report = check_structure(
-                MatrixMixer(m, MixerClass.quasiseparable(T)), tol=1e-6
-            )
-            assert report.max_offdiag_block_rank == oracle_max_offdiag_rank(m, 1e-6)
+            tag = MixerClass.quasiseparable(T)
+            report = check_structure(MatrixMixer(m, tag), tol=1e-6)
+            assert report == oracle_structure_report(m, tag, 1e-6)
+
+    def test_bool_tol_rejected(self):
+        mixer = MatrixMixer(np.eye(3), MixerClass.quasiseparable(1))
+        for tol in (True, False, 0.0, -1e-6, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                check_structure(mixer, tol=tol)
+
+
+class TestCompressedSweep:
+    """check_structure against the brute-force sweep: reports compare ==,
+    violations included, in the same (lower, upper)-per-split order."""
+
+    @pytest.mark.parametrize("T", [1, 2, 3, 17, 64, 256])
+    def test_scan_mixers_match_oracle(self, T):
+        N = 4
+        mixers = seeded_scan_mixers(100 + T, T, N)
+        for label, mixer in mixers.items():
+            report = check_structure(mixer)
+            assert report == oracle_structure_report(mixer.m, mixer.class_tag), label
+            assert report.ok, label
+        hydra = mixers["hydra"]
+        mistag = MixerClass.semiseparable(N)
+        report = check_structure(hydra, class_tag=mistag)
+        assert report == oracle_structure_report(hydra.m, mistag)
+        assert report.ok == (T == 1)
+
+    def test_structured_sweep_stays_compressed(self, exact_block_svds):
+        """At T=256 every structured count comes from the thin factors:
+        no block falls back to an exact SVD."""
+        for mixer in seeded_scan_mixers(7, 256, 4).values():
+            assert check_structure(mixer).ok
+        assert exact_block_svds == []
+
+    @pytest.mark.parametrize("order", [1, 2, 5])
+    @pytest.mark.parametrize("T", [12, 40, 150])
+    def test_dense_random_against_quasiseparable_claim(self, T, order):
+        m = np.random.default_rng(T * 10 + order).standard_normal((T, T))
+        tag = MixerClass.quasiseparable(order)
+        report = check_structure(MatrixMixer(m, tag))
+        assert report == oracle_structure_report(m, tag)
+        assert not report.ok
+
+    @pytest.mark.parametrize("kind", ["semiseparable", "quasiseparable"])
+    def test_zero_and_identity(self, kind):
+        tag = MixerClass(kind, 1)
+        for m in (np.zeros((9, 9)), np.eye(9)):
+            report = check_structure(MatrixMixer(m, tag))
+            assert report == oracle_structure_report(m, tag)
+            assert report == StructureReport(tag, 0, ())
+
+    def test_sub_threshold_parts_add_up(self):
+        """Entries each below the threshold share a row, so a wide enough
+        block has a singular value above it: nothing below the threshold
+        may be dropped for free."""
+        T = 24
+        m = np.eye(T)
+        m[T - 1, : T - 1] = 0.4 * DEFAULT_RANK_TOL
+        tag = MixerClass.semiseparable(1)
+        report = check_structure(MatrixMixer(m, tag))
+        assert report == oracle_structure_report(m, tag)
+        assert report.max_offdiag_block_rank == 1
+
+    @pytest.mark.parametrize("offset", [1e-9, -1e-9])
+    def test_value_at_threshold_is_recounted_exactly(self, offset, exact_block_svds):
+        """One upper-block singular value sits at tol * sigma_ref * (1 +/- 1e-9),
+        inside the certification band, so those blocks get exact SVDs."""
+        T = 17
+        m = np.eye(T)
+        for _ in range(4):  # sigma_ref moves with the entry; settle the fixed point
+            m[0, T - 1] = DEFAULT_RANK_TOL * np.linalg.svd(m, compute_uv=False)[0] * (1 + offset)
+        sigma_ref = np.linalg.svd(m, compute_uv=False)[0]
+        assert m[0, T - 1] / (DEFAULT_RANK_TOL * sigma_ref) - 1 == pytest.approx(offset, rel=1e-3)
+        tag = MixerClass.semiseparable(1)
+        report = check_structure(MatrixMixer(m, tag))
+        assert report == oracle_structure_report(m, tag)
+        assert report.ok == (offset < 0)
+        assert exact_block_svds
+
+    @pytest.mark.parametrize("make", [hydra_mixer, bimamba_mixer])
+    def test_scan_mixers_at_T1024(self, make):
+        """The class claims hold at a size blocks run at, in the fast suite."""
+        T, N = 1024, 16
+        rng = np.random.default_rng(1024)
+        fwd, bwd = seeded_scan_params(rng, T, N), seeded_scan_params(rng, T, N)
+        if make is hydra_mixer:
+            mixer = make(HydraParams(fwd, bwd, rng.standard_normal(T)))
+        else:
+            mixer = make(BiMambaParams(fwd, bwd))
+        report = check_structure(mixer, class_tag=MixerClass.quasiseparable(N))
+        assert report.ok
+        assert report.max_offdiag_block_rank <= N
+        assert not check_structure(mixer, class_tag=MixerClass.semiseparable(N)).ok
