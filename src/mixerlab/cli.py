@@ -58,7 +58,7 @@ from .diagnostics import (
     write_locality,
     write_rank_report,
 )
-from .mixer_core import FeatureSequence, apply_mixer
+from .mixer_core import FeatureSequence, _check_tol, apply_mixer
 from .rng import derive_seed, make_rng
 from .ssm import (
     BiMambaParams,
@@ -160,10 +160,10 @@ class RunConfig:
             raise ConfigError(
                 f"mixer_kind must be one of {MIXER_KINDS}, got {self.mixer_kind!r}"
             )
-        if not (
-            isinstance(self.tol, (int, float)) and np.isfinite(self.tol) and self.tol > 0
-        ):
-            raise ConfigError(f"tol must be a positive finite number, got {self.tol!r}")
+        try:
+            _check_tol(self.tol)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         for name in ("r_values", "t_values"):
             vals = getattr(self, name)
             if not isinstance(vals, tuple) or len(vals) == 0:

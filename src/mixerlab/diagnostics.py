@@ -25,6 +25,7 @@ from .mixer_core import (
     _as_float_array,
     _check_tol,
     _rank_against,
+    _singular_values,
 )
 
 __all__ = [
@@ -46,6 +47,15 @@ __all__ = [
 # width of the single bin used when every distance is zero (or there
 # are no pairs at all): [0, eps)
 _EMPTY_BIN_WIDTH = 1e-12
+
+# Row-distance histograms work on blocks of about this many row pairs,
+# so their transient arrays stay a few times this many floats.
+_PAIR_BLOCK = 1 << 14
+_UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
+_TINY = np.finfo(np.float64).tiny
+# a squared distance bound at or above this is not trusted: the
+# reference arithmetic may overflow there
+_SQUARE_LIMIT = 2.0**1020
 
 
 @dataclass(frozen=True)
@@ -120,12 +130,73 @@ def head_average(mixers: Sequence[MatrixMixer]) -> MatrixMixer:
 def numerical_rank(mixer: MatrixMixer, tol: float = DEFAULT_RANK_TOL) -> int:
     """Count of singular values above tol times the largest one.
 
-    The zero matrix has rank 0. SVD non-convergence propagates as
-    numpy's LinAlgError.
+    The zero matrix has rank 0. The singular values come from one
+    values-only SVD per mixer, shared with
+    :func:`~mixerlab.mixer_core.check_structure`. SVD non-convergence
+    propagates as numpy's LinAlgError.
     """
     _check_tol(tol)
-    sv = np.linalg.svd(mixer.m, compute_uv=False)
+    sv = _singular_values(mixer)
     return _rank_against(sv, tol, sv[0])
+
+
+def _exact_distances(m: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """||m[j] - m[i]|| per index pair, in the reference arithmetic:
+    ``d = m[j] - m[i]; sqrt(sum(d * d))``, summed along the row."""
+    out = np.empty(i.shape[0])
+    step = max(1, _PAIR_BLOCK // m.shape[1])
+    for k in range(0, i.shape[0], step):
+        d = m[j[k : k + step]] - m[i[k : k + step]]
+        out[k : k + step] = np.sqrt(np.sum(d * d, axis=1))
+    return out
+
+
+def _distance_bounds(m: np.ndarray) -> list:
+    """Certified bounds on every reference row distance, in row blocks.
+
+    Block ``(r0, lo, hi)`` covers rows r0 .. r0 + len(lo) - 1 against
+    rows r0 + 1 .. T - 1: the distance between rows r0 + a and
+    r0 + 1 + c lies in [lo[a, c], hi[a, c]], a pair only when c >= a
+    (see :func:`_pair_mask`).
+
+    Squared distances come from the Gram form |m_i|^2 + |m_j|^2 -
+    2 (m m^T)_ij. With u the unit roundoff and gamma_n = n u / (1 - n u)
+    (Higham 2002, section 3.1), that differs from the exact squared
+    distance by at most gamma_T (|m_i| + |m_j|)^2, and the reference
+    loop's squares and sum by at most gamma_(T+2) times the exact
+    value, which is no larger. The margin charges twice their sum, plus
+    an absolute term for products that underflow, and the square roots
+    get 8u each way. An estimate near overflow certifies nothing: it
+    gets [0, inf]. A non-finite one always comes with an infinite margin,
+    since (|m_i| + |m_j|)^2 bounds every term of the Gram form.
+    """
+    T = m.shape[0]
+    n = T + 4
+    gamma = 4.0 * n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
+    blocks = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = np.einsum("ij,ij->i", m, m)
+        norms = np.sqrt(sq)
+        r0 = 0
+        while r0 < T - 1:
+            r1 = min(T - 1, r0 + max(1, _PAIR_BLOCK // (T - 1 - r0)))
+            s = sq[r0:r1, None] + sq[None, r0 + 1 :] - 2.0 * (m[r0:r1] @ m[r0 + 1 :].T)
+            e = gamma * (norms[r0:r1, None] + norms[None, r0 + 1 :]) ** 2 + 16.0 * n * _TINY
+            lo = np.sqrt(np.fmax(s - e, 0.0)) * (1.0 - 8.0 * _UNIT_ROUNDOFF)
+            upper = s + e
+            hi = np.where(
+                upper < _SQUARE_LIMIT,
+                np.sqrt(np.fmax(upper, 0.0)) * (1.0 + 8.0 * _UNIT_ROUNDOFF),
+                np.inf,
+            )
+            blocks.append((r0, lo, hi))
+            r0 = r1
+    return blocks
+
+
+def _pair_mask(shape) -> np.ndarray:
+    """Entries (a, c) of a distance block with c >= a, the i < j pairs."""
+    return ~np.tri(shape[0], shape[1], -1, dtype=bool)
 
 
 def pairwise_l2_histogram(mixer: MatrixMixer, bins: int = 50) -> Histogram:
@@ -134,24 +205,78 @@ def pairwise_l2_histogram(mixer: MatrixMixer, bins: int = 50) -> Histogram:
     Bins span [0, observed max]. When there are no pairs (T == 1) or
     every distance is zero (all rows identical), the histogram collapses
     to a single [0, eps) bin holding all the mass.
+
+    The distances are those of the reference loop, ``d = m[j] - m[i];
+    sqrt(sum(d * d))``, and the result is bit for bit what
+    ``np.histogram`` makes of them, but most are never computed that
+    way. Squared distances come from the Gram matrix, one matrix
+    product per block of rows, and a rounding bound turns each into an
+    interval certain to hold the reference value (see
+    :func:`_distance_bounds`). Only pairs that can be the maximum, or
+    whose interval holds a bin edge, are recomputed with the reference
+    arithmetic. Work is done in row blocks, so transient memory stays
+    near two floats per pair.
     """
     if not isinstance(bins, int) or isinstance(bins, bool) or bins < 1:
         raise ValueError(f"bins must be a positive integer, got {bins!r}")
     m = mixer.m
     T = mixer.T
-    dists = []
-    for i in range(T - 1):
-        diff = m[i + 1 :] - m[i]
-        dists.append(np.sqrt(np.sum(diff * diff, axis=1)))
-    values = np.concatenate(dists) if dists else np.zeros(0)
     total = T * (T - 1) // 2
-    assert values.shape[0] == total
-    if total == 0 or values.max() == 0.0:
-        edges = np.array([0.0, _EMPTY_BIN_WIDTH])
-        counts = np.array([total])
-        return Histogram(edges, counts, total)
-    counts, edges = np.histogram(values, bins=bins, range=(0.0, float(values.max())))
+    blocks = _distance_bounds(m)
+
+    # the pair with the largest lower bound has a distance >= floor, so
+    # only pairs whose upper bound reaches floor can be the maximum
+    floor = max((float(np.max(lo, where=_pair_mask(lo.shape), initial=0.0))
+                 for _, lo, _ in blocks), default=0.0)
+    vmax = 0.0
+    for r0, lo, hi in blocks:
+        a, c = np.nonzero(_pair_mask(lo.shape) & (hi >= floor))
+        vmax = max(vmax, float(_exact_distances(m, r0 + a, r0 + 1 + c).max(initial=0.0)))
+    if vmax == 0.0:
+        return Histogram(np.array([0.0, _EMPTY_BIN_WIDTH]), np.array([total]), total)
+    # the edges np.histogram uses, and its ValueError for an infinite max
+    edges = np.histogram_bin_edges(np.array([vmax]), bins=bins, range=(0.0, vmax))
+    # bin k holds edges[k] <= v < upper[k]; the last bin is closed
+    upper = np.append(edges[1:-1], np.inf)
+
+    counts = np.zeros(bins, dtype=np.int64)
+    for r0, lo, hi in blocks:
+        guess = np.minimum((lo / vmax * bins).astype(np.intp), bins - 1)
+        sure = _pair_mask(lo.shape) & (edges[guess] <= lo) & (hi < upper[guess])
+        counts += np.bincount(guess[sure], minlength=bins)
+        a, c = np.nonzero(_pair_mask(lo.shape) & ~sure)
+        if a.size:
+            exact = _exact_distances(m, r0 + a, r0 + 1 + c)
+            found = np.minimum(np.searchsorted(edges, exact, side="right") - 1, bins - 1)
+            counts += np.bincount(found, minlength=bins)
     return Histogram(edges, counts, total)
+
+
+def _check_window(window) -> int:
+    """A locality window as an int: Python or numpy integers >= 0."""
+    if (
+        not isinstance(window, (int, np.integer))
+        or isinstance(window, bool)
+        or window < 0
+    ):
+        raise ValueError(f"window must be a nonnegative integer, got {window!r}")
+    return int(window)
+
+
+def _locality_profile(m: np.ndarray, windows: Sequence[int]) -> Tuple[float, ...]:
+    """:func:`locality_mass` for each window, sharing |m|, the index
+    distances and the row totals across windows."""
+    absm = np.abs(m)
+    idx = np.arange(m.shape[0])
+    dist = np.abs(idx[:, None] - idx[None, :])
+    full = absm.sum(axis=1)
+    nonzero = full > 0.0
+    denom = np.where(nonzero, full, 1.0)
+    masses = []
+    for w in windows:
+        near = np.where(dist <= w, absm, 0.0).sum(axis=1)
+        masses.append(float(np.mean(np.where(nonzero, near / denom, 1.0))))
+    return tuple(masses)
 
 
 def locality_mass(mixer: MatrixMixer, window: int) -> float:
@@ -163,15 +288,7 @@ def locality_mass(mixer: MatrixMixer, window: int) -> float:
     nondecreasing in the window, and is exactly 1.0 once the window
     reaches T - 1.
     """
-    if not isinstance(window, int) or isinstance(window, bool) or window < 0:
-        raise ValueError(f"window must be a nonnegative integer, got {window!r}")
-    absm = np.abs(mixer.m)
-    idx = np.arange(mixer.T)
-    mask = np.abs(idx[:, None] - idx[None, :]) <= window
-    near = (absm * mask).sum(axis=1)
-    full = absm.sum(axis=1)
-    ratios = np.where(full > 0.0, near / np.where(full > 0.0, full, 1.0), 1.0)
-    return float(np.mean(ratios))
+    return _locality_profile(mixer.m, (_check_window(window),))[0]
 
 
 def approximation_error_curve(
@@ -224,10 +341,15 @@ def build_mixer_report(
     bins: int = 50,
     windows: Optional[Sequence[int]] = None,
 ) -> MixerReport:
-    """Run the full diagnostic battery on one mixer."""
+    """Run the full diagnostic battery on one mixer.
+
+    ``windows`` entries must be nonnegative Python or numpy integers;
+    anything else raises ValueError. The locality profile is computed in
+    one pass over the matrix for all windows.
+    """
     if windows is None:
         windows = default_windows(mixer.T)
-    windows = tuple(int(w) for w in windows)
+    windows = tuple(_check_window(w) for w in windows)
     row_sums = mixer.m.sum(axis=1)
     return MixerReport(
         kind_label=kind_label,
@@ -235,7 +357,7 @@ def build_mixer_report(
         row_sum_range=(float(row_sums.min()), float(row_sums.max())),
         l2_histogram=pairwise_l2_histogram(mixer, bins),
         windows=windows,
-        locality=tuple(locality_mass(mixer, w) for w in windows),
+        locality=_locality_profile(mixer.m, windows),
     )
 
 

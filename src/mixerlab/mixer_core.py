@@ -206,6 +206,21 @@ def _rank_against(singular_values: np.ndarray, tol: float, sigma_ref: float) -> 
     return int(np.count_nonzero(singular_values > tol * sigma_ref))
 
 
+def _singular_values(mixer: MatrixMixer) -> np.ndarray:
+    """Singular values of the whole matrix, descending; one SVD per mixer.
+
+    ``mixer.m`` is a private read-only copy, so the values computed on
+    first use stay valid and are kept on the instance for later calls.
+    SVD non-convergence propagates as numpy's LinAlgError.
+    """
+    values = mixer.__dict__.get("_singular_values")
+    if values is None:
+        values = np.linalg.svd(mixer.m, compute_uv=False)
+        values.flags.writeable = False
+        object.__setattr__(mixer, "_singular_values", values)
+    return values
+
+
 def _block_rank(block: np.ndarray, tol: float, sigma_ref: float) -> int:
     """Exact numerical rank of one block: a full values-only SVD."""
     return _rank_against(np.linalg.svd(block, compute_uv=False), tol, sigma_ref)
@@ -303,7 +318,10 @@ def check_structure(
     requires both sides <= N. ``low_rank(r)`` tests the whole matrix
     against min(T, r); ``dense`` always passes but still reports the
     matrix rank. All ranks are measured against the full matrix's
-    largest singular value (see module docstring).
+    largest singular value (see module docstring). That reference comes
+    from one values-only SVD of the whole matrix, an O(T^3) step that
+    is kept on the mixer and shared with
+    :func:`~mixerlab.diagnostics.numerical_rank`.
 
     The split sweep is compressed: one pass per side carries a thin
     factor of the current block, so each step is an SVD of a
@@ -324,7 +342,7 @@ def check_structure(
 
     m = mixer.m
     T = mixer.T
-    singular_values = np.linalg.svd(m, compute_uv=False)
+    singular_values = _singular_values(mixer)
     sigma_ref = float(singular_values[0])
 
     if tag.kind in ("dense", "low_rank"):

@@ -54,6 +54,13 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             RunConfig(r_values=())
 
+    def test_tol_checked_like_rank_tolerances(self):
+        for tol in (True, False, float("nan"), float("inf"), -1e-9, "1e-9"):
+            with pytest.raises(ConfigError, match="tol must be a positive finite number"):
+                RunConfig(tol=tol)
+        assert RunConfig(tol=1).tol == 1
+        assert RunConfig(tol=np.float64(1e-6)).tol == 1e-6
+
 
 class TestConfigFile:
     def test_parse_basic(self, tmp_path):

@@ -7,44 +7,124 @@ import numpy as np
 import pytest
 
 from mixerlab import (
+    BiMambaParams,
     Histogram,
+    HydraParams,
     MatrixMixer,
     MixerClass,
+    ScanParams,
     approximation_error_curve,
+    bimamba_mixer,
     build_mixer_report,
+    check_structure,
     default_windows,
     draw_orthogonal_features,
     favor_mixer,
     head_average,
+    hydra_mixer,
     locality_mass,
     numerical_rank,
     pairwise_l2_histogram,
     softmax_mixer,
+    ssm_mixer,
     write_approx_curve,
     write_l2_hist,
     write_locality,
     write_rank_report,
 )
+from mixerlab import diagnostics
 
 
 def dense(m):
     return MatrixMixer(np.asarray(m, dtype=float), MixerClass.dense())
 
 
-def oracle_histogram(m, bins):
-    """All pairwise row distances via a double loop, then np.histogram
-    over [0, max]. Mirrors the documented binning exactly."""
+def oracle_distances(m):
+    """All pairwise row distances via a double loop, i < j in row order."""
     T = m.shape[0]
     dists = []
     for i in range(T):
         for j in range(i + 1, T):
             diff = m[j] - m[i]
             dists.append(np.sqrt(np.sum(diff * diff)))
-    dists = np.array(dists)
+    return np.array(dists)
+
+
+def oracle_histogram(m, bins, dists=None):
+    """np.histogram of the double-loop distances over [0, max]. Mirrors
+    the documented binning exactly; ``dists`` reuses
+    :func:`oracle_distances` output across bin counts."""
+    if dists is None:
+        dists = oracle_distances(m)
     if len(dists) == 0 or np.max(dists) == 0.0:
         return None
     counts, edges = np.histogram(dists, bins=bins, range=(0.0, float(np.max(dists))))
     return counts, edges
+
+
+def assert_matches_oracle(m, bins_list, dists=None):
+    """Bitwise equality with the oracle for every bin count; returns the
+    oracle distances so callers can reuse them."""
+    if dists is None:
+        dists = oracle_distances(m)
+    for bins in bins_list:
+        h = pairwise_l2_histogram(dense(m), bins=bins)
+        expected = oracle_histogram(m, bins, dists)
+        if expected is None:
+            assert h.bins == 1 and int(h.counts[0]) == h.total == len(dists)
+            continue
+        counts, edges = expected
+        assert np.array_equal(h.bin_edges, edges), bins
+        assert np.array_equal(h.counts, counts), bins
+    return dists
+
+
+def audit_mixers(T, seed):
+    """The five mixer kinds of the structure-audit benchmark, built the
+    same way: slow scan decays, head width 64, 64 features."""
+    rng = np.random.default_rng(seed)
+
+    def scan():
+        return ScanParams(
+            a=rng.uniform(0.8, 1.0, T),
+            b=rng.standard_normal((T, 16)),
+            c=rng.standard_normal((T, 16)),
+        )
+
+    q = rng.standard_normal((T, 64)) / 8.0
+    k = rng.standard_normal((T, 64)) / 8.0
+    return {
+        "ssm": ssm_mixer(scan()),
+        "bimamba": bimamba_mixer(BiMambaParams(scan(), scan())),
+        "hydra": hydra_mixer(HydraParams(scan(), scan(), rng.standard_normal(T))),
+        "softmax": softmax_mixer(q, k),
+        "favor": favor_mixer(q, k, draw_orthogonal_features(64, 64, seed)),
+    }
+
+
+def count_exact_pairs(monkeypatch):
+    """Record how many pairs the histogram recomputes exactly."""
+    seen = []
+    original = diagnostics._exact_distances
+
+    def counting(m, i, j):
+        seen.append(i.shape[0])
+        return original(m, i, j)
+
+    monkeypatch.setattr(diagnostics, "_exact_distances", counting)
+    return seen
+
+
+def oracle_locality(m, window):
+    """Band ratio with an explicit multiplicative mask, as a direct
+    reading of the definition."""
+    absm = np.abs(m)
+    idx = np.arange(m.shape[0])
+    mask = np.abs(idx[:, None] - idx[None, :]) <= window
+    near = (absm * mask).sum(axis=1)
+    full = absm.sum(axis=1)
+    ratios = np.where(full > 0.0, near / np.where(full > 0.0, full, 1.0), 1.0)
+    return float(np.mean(ratios))
 
 
 class TestHeadAverage:
@@ -110,6 +190,39 @@ class TestNumericalRank:
             with pytest.raises(ValueError):
                 numerical_rank(dense(np.eye(3)), tol=tol)
 
+    def test_one_full_svd_per_mixer(self, monkeypatch):
+        """check_structure, build_mixer_report and numerical_rank on one
+        mixer share a single values-only SVD of the whole matrix."""
+        mixer = audit_mixers(48, 31)["hydra"]
+        full_calls = []
+        original = np.linalg.svd
+
+        def counting(a, *args, **kwargs):
+            if np.shape(a) == (mixer.T, mixer.T):
+                full_calls.append(kwargs.get("compute_uv"))
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        report = check_structure(mixer)
+        diag = build_mixer_report(mixer, "hydra")
+        mistag = check_structure(mixer, class_tag=MixerClass.semiseparable(16))
+        rank = numerical_rank(mixer, tol=1e-9)
+        assert full_calls == [False]
+        assert report.ok and not mistag.ok
+
+        monkeypatch.setattr(np.linalg, "svd", original)
+        fresh = audit_mixers(48, 31)["hydra"]
+        assert check_structure(fresh) == report
+        assert build_mixer_report(fresh, "hydra").rank == diag.rank
+        assert numerical_rank(fresh, tol=1e-9) == rank
+
+    def test_shared_values_are_read_only(self):
+        m = dense(np.diag([3.0, 2.0, 1.0]))
+        assert numerical_rank(m) == 3
+        sv = diagnostics._singular_values(m)
+        assert not sv.flags.writeable
+        assert sv is diagnostics._singular_values(m)
+
 
 class TestPairwiseHistogram:
     def test_matches_double_loop_oracle_exactly(self):
@@ -151,6 +264,124 @@ class TestPairwiseHistogram:
         assert h.total == 6
         assert len(h.counts) == 1
         assert int(h.counts[0]) == 6
+
+    def test_oracle_across_sizes_and_bin_counts(self):
+        rng = np.random.default_rng(19)
+        for T in (1, 2, 3, 17, 320, 512):
+            assert_matches_oracle(rng.standard_normal((T, T)), (1, 2, 50, 1000))
+
+    def test_oracle_on_audit_mixers(self):
+        for kind, mixer in audit_mixers(320, 20).items():
+            assert_matches_oracle(mixer.m, (1, 50, 1000))
+
+    def test_identical_and_near_duplicate_rows(self):
+        rng = np.random.default_rng(21)
+        base = rng.standard_normal((6, 40))
+        m = base[rng.integers(0, 6, 40)]
+        assert_matches_oracle(m, (1, 2, 50, 1000))
+        near = m * (1.0 + 1e-12 * rng.standard_normal(m.shape))
+        assert_matches_oracle(near, (1, 2, 50, 1000))
+        assert_matches_oracle(np.tile(base[0], (40, 1)), (1, 50))
+
+    def test_row_norms_spanning_eight_decades(self):
+        rng = np.random.default_rng(22)
+        m = rng.standard_normal((64, 64)) * 10.0 ** rng.uniform(-4, 4, (64, 1))
+        m[0] *= 1e4 / np.linalg.norm(m[0])
+        m[1] *= 1e-4 / np.linalg.norm(m[1])
+        assert_matches_oracle(m, (1, 2, 50, 1000))
+
+    def test_large_common_offset_cancels_in_gram_form(self, monkeypatch):
+        """Rows 1e6 + O(1): the Gram form loses about eight digits to
+        cancellation, so many intervals straddle edges at 1000 bins."""
+        rng = np.random.default_rng(29)
+        m = 1e6 + rng.standard_normal((96, 96))
+        exact = count_exact_pairs(monkeypatch)
+        assert_matches_oracle(m, (1, 2, 50, 1000))
+        assert sum(exact) > 96
+
+    def test_near_tied_maximum_under_cancellation(self):
+        """Points on a circle, offset by 1e5: the largest distances differ
+        by less than the Gram form's error, so the pair with the largest
+        estimate need not be the one with the largest distance."""
+        rng = np.random.default_rng(30)
+        T = 64
+        theta = 2 * np.pi * np.arange(T) / T + 1e-4 * rng.standard_normal(T)
+        m = np.full((T, T), 1e5)
+        m[:, 0] += 10.0 * np.cos(theta)
+        m[:, 1] += 10.0 * np.sin(theta)
+        assert_matches_oracle(m, (1, 50, 1000))
+
+    def test_squared_norms_summing_past_overflow(self):
+        """|m_0|^2 + |m_1|^2 overflows while 2 (m m^T)_01 and every
+        distance stay finite, so the Gram estimate is +inf."""
+        rng = np.random.default_rng(31)
+        m = rng.standard_normal((6, 6))
+        m[:2] = 0.0
+        m[0, 0] = m[1, 0] = 9.4e153
+        m[1, 1] = 2e153
+        with np.errstate(over="ignore"):
+            assert np.isinf(m[0] @ m[0] + m[1] @ m[1])
+        assert_matches_oracle(m, (1, 2, 50, 1000))
+
+    def test_subnormal_squares_fall_back_to_exact(self, monkeypatch):
+        rng = np.random.default_rng(23)
+        m = rng.standard_normal((32, 32)) * 1e-160
+        exact = count_exact_pairs(monkeypatch)
+        assert_matches_oracle(m, (1, 2, 50, 1000))
+        assert sum(exact) >= 32 * 31 // 2
+
+    def test_overflowing_gram_falls_back_to_exact(self, monkeypatch):
+        """Squared row norms overflow although every distance is finite,
+        so no Gram estimate is finite."""
+        rng = np.random.default_rng(24)
+        m = 6e153 * (1.0 + 1e-3 * rng.standard_normal((64, 64)))
+        assert not np.all(np.isfinite(np.einsum("ij,ij->i", m, m)))
+        exact = count_exact_pairs(monkeypatch)
+        assert_matches_oracle(m, (1, 2, 50, 1000))
+        assert sum(exact) >= 64 * 63 // 2
+
+    def test_overflowing_distances_raise_like_np_histogram(self):
+        rng = np.random.default_rng(25)
+        m = rng.standard_normal((16, 16)) * 1e160
+        with np.errstate(over="ignore"):
+            dists = oracle_distances(m)
+            assert np.isinf(dists.max())
+            with pytest.raises(ValueError) as expected:
+                oracle_histogram(m, 50, dists)
+            with pytest.raises(ValueError) as got:
+                pairwise_l2_histogram(dense(m), bins=50)
+        assert str(got.value) == str(expected.value)
+
+    def test_distances_on_bin_edges_take_the_exact_path(self, monkeypatch):
+        """Rows k * (3, 4, 0, ...) are 5 |k - l| apart: integers that land
+        exactly on edges of linspace(0, 5 (T - 1), bins + 1)."""
+        T = 40
+        m = np.zeros((T, T))
+        m[:, 0] = 3.0 * np.arange(T)
+        m[:, 1] = 4.0 * np.arange(T)
+        exact = count_exact_pairs(monkeypatch)
+        assert_matches_oracle(m, (1, 3, 13, 39, 78, 195))
+        # every pair sits on an edge at bins = 39, 78 and 195
+        assert sum(exact) >= 3 * T * (T - 1) // 2
+
+    def test_transient_memory_bounded_by_blocks(self):
+        """Peak traced allocation stays under the two stored bounds per
+        pair plus eight pair blocks of temporaries. A loop that keeps
+        every distance and then bins them all at once needs more."""
+        import tracemalloc
+
+        rng = np.random.default_rng(26)
+        for T in (320, 512):
+            m = dense(rng.standard_normal((T, T)))
+            tracemalloc.start()
+            try:
+                base, _ = tracemalloc.get_traced_memory()
+                pairwise_l2_histogram(m, bins=50)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            pairs = T * (T - 1) // 2
+            assert peak - base < 16 * pairs + 8 * 8 * diagnostics._PAIR_BLOCK, T
 
     def test_histogram_validation(self):
         with pytest.raises(ValueError):
@@ -208,6 +439,13 @@ class TestLocalityMass:
     def test_negative_window_rejected(self):
         with pytest.raises(ValueError):
             locality_mass(dense(np.eye(3)), -1)
+
+    def test_profile_equals_per_window_mass(self):
+        for kind, mixer in audit_mixers(64, 27).items():
+            windows = default_windows(64) + (5, 70)
+            profile = diagnostics._locality_profile(mixer.m, windows)
+            assert profile == tuple(locality_mass(mixer, w) for w in windows)
+            assert profile == tuple(oracle_locality(mixer.m, w) for w in windows)
 
 
 class TestApproximationErrorCurve:
@@ -275,6 +513,16 @@ class TestReportsAndCsv:
         assert hi == float(np.max(sums))
         assert len(rep.windows) == len(rep.locality)
         assert rep.l2_histogram.total == 28
+
+    def test_report_windows_validated_before_conversion(self):
+        m = dense(np.random.default_rng(28).standard_normal((8, 8)))
+        for bad in ((2.7,), (True,), (0.5,), (-1,), (np.bool_(True),), (2.0,), ("3",)):
+            with pytest.raises(ValueError):
+                build_mixer_report(m, "x", windows=bad)
+        rep = build_mixer_report(m, "x", windows=(0, np.int64(3), np.int32(9)))
+        assert rep.windows == (0, 3, 9)
+        assert all(type(w) is int for w in rep.windows)
+        assert rep.locality == tuple(locality_mass(m, w) for w in (0, 3, 9))
 
     def test_rank_report_csv(self, tmp_path):
         path = tmp_path / "rank.csv"
