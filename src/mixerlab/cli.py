@@ -83,12 +83,6 @@ __all__ = [
     "main",
 ]
 
-_PRESET_SHAPES = {
-    "latent-denoiser": (256, 8),
-    "token-generator": (512, 12),
-}
-
-
 class ConfigError(ValueError):
     """Malformed configuration file, key, or value."""
 
@@ -127,13 +121,12 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         if self.preset is not None:
-            if self.preset not in _PRESET_SHAPES:
-                raise ConfigError(
-                    f"unknown preset {self.preset!r}; expected one of {sorted(_PRESET_SHAPES)}"
-                )
-            d_model, num_blocks = _PRESET_SHAPES[self.preset]
-            object.__setattr__(self, "d_model", d_model)
-            object.__setattr__(self, "num_blocks", num_blocks)
+            try:
+                shape = BlockStackConfig.preset(self.preset)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from None
+            object.__setattr__(self, "d_model", shape.d_model)
+            object.__setattr__(self, "num_blocks", shape.num_blocks)
         if not isinstance(self.seed, int) or isinstance(self.seed, bool) or not (
             0 <= self.seed < 2**64
         ):

@@ -42,6 +42,16 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             RunConfig(preset="imaginary")
 
+    def test_presets_are_the_block_stack_presets(self):
+        for name in BlockStackConfig._PRESETS:
+            cfg = RunConfig(preset=name)
+            shape = BlockStackConfig.preset(name)
+            assert (cfg.d_model, cfg.num_blocks) == (shape.d_model, shape.num_blocks)
+
+    def test_unknown_preset_exits_2(self, tmp_path, capsys):
+        assert main(["demo", "--preset", "imaginary", "--out", str(tmp_path)]) == 2
+        assert "unknown preset 'imaginary'" in capsys.readouterr().err
+
     def test_bad_values_rejected(self):
         with pytest.raises(ConfigError):
             RunConfig(seed=-1)

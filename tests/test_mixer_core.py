@@ -1,5 +1,8 @@
 """Tests for mixer containers, application, and structure checking."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -52,6 +55,20 @@ def oracle_structure_report(m, tag, tol=DEFAULT_RANK_TOL):
 
 
 @pytest.fixture
+def svd_calls(monkeypatch):
+    """Record the shape of every np.linalg.svd call."""
+    calls = []
+    original = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls
+
+
+@pytest.fixture
 def exact_block_svds(monkeypatch):
     """Count the blocks check_structure hands to an exact SVD."""
     calls = []
@@ -86,6 +103,61 @@ def seeded_scan_mixers(seed, T, N):
         "bimamba": bimamba_mixer(BiMambaParams(scan(), scan())),
         "hydra": hydra_mixer(HydraParams(scan(), scan(), rng.standard_normal(T))),
     }
+
+
+def fuzz_scan_params(rng, T, N):
+    # decays from anywhere in (0, 1], some down to 1e-300, so blocks range
+    # from full order to numerically zero
+    a = rng.uniform(rng.uniform(1e-3, 0.99), 1.0, T)
+    a[rng.random(T) < 0.05] = 10.0 ** -rng.uniform(3, 300)
+    return ScanParams(a=a, b=rng.standard_normal((T, N)), c=rng.standard_normal((T, N)))
+
+
+def graded(rng, rows, cols, rank):
+    """A rows x cols matrix of the given rank with singular values spread
+    over up to 14 decades."""
+    u, _ = np.linalg.qr(rng.standard_normal((rows, rank)))
+    v, _ = np.linalg.qr(rng.standard_normal((cols, rank)))
+    return (u * np.logspace(0, -rng.uniform(0, 14), rank)) @ v.T
+
+
+def fuzz_matrix(rng, T):
+    """One random matrix from the families the structure sweep must get right."""
+    family = rng.integers(6)
+    N = int(rng.integers(1, 7))
+    if family == 0:
+        return ssm_mixer(fuzz_scan_params(rng, T, N)).m
+    if family == 1:
+        return bimamba_mixer(BiMambaParams(fuzz_scan_params(rng, T, N), fuzz_scan_params(rng, T, N))).m
+    if family == 2:
+        fwd, bwd = fuzz_scan_params(rng, T, N), fuzz_scan_params(rng, T, N)
+        return hydra_mixer(HydraParams(fwd, bwd, rng.standard_normal(T))).m
+    if family == 3:
+        q, k = rng.standard_normal((2, T, 8)) * rng.uniform(0.1, 3.0)
+        logits = q @ k.T
+        w = np.exp(logits - logits.max(axis=1, keepdims=True))
+        return w / w.sum(axis=1, keepdims=True)
+    if family == 4:
+        # banded plus graded low rank below the diagonal, noise above it
+        band = np.triu(np.tril(rng.standard_normal((T, T)), int(rng.integers(0, 3))), -int(rng.integers(0, 4)))
+        lower = np.tril(graded(rng, T, T, min(T, N)), -1)
+        noise = np.triu(rng.standard_normal((T, T)), 1) * 10.0 ** -rng.uniform(4, 17)
+        return band + lower + noise
+    return graded(rng, T, T, int(rng.integers(1, T + 1)))
+
+
+def fuzz_cases(seed, count, max_T):
+    """Seeded (matrix, tol, tags) cases for the sweep-vs-oracle fuzz; each
+    matrix is checked against several tags on one mixer, so cached block
+    ranks are reused across classes."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        T = int(rng.integers(1, max_T + 1))
+        tol = 10.0 ** -rng.uniform(3, 15)
+        orders = {1, int(rng.integers(1, T + 2)), int(rng.integers(1, 8))}
+        tags = [MixerClass(kind, n) for n in sorted(orders)
+                for kind in ("semiseparable", "quasiseparable")]
+        yield fuzz_matrix(rng, T), tol, tags
 
 
 class TestFeatureSequence:
@@ -154,6 +226,25 @@ class TestMatrixMixer:
     def test_T_property(self):
         m = MatrixMixer(np.eye(6), MixerClass.dense())
         assert m.T == 6
+
+    @pytest.mark.parametrize(
+        "clone", [copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))]
+    )
+    def test_copies_are_rebuilt_frozen_without_cached_results(self, clone):
+        """A copy or an unpickled mixer holds its own read-only matrix and
+        none of the original's cached singular values or block ranks."""
+        mixer = MatrixMixer(np.eye(4), MixerClass.quasiseparable(1))
+        report = check_structure(mixer)
+        assert check_structure(mixer, class_tag=MixerClass.low_rank(1)).violations
+        twin = clone(mixer)
+        assert twin.class_tag == mixer.class_tag
+        assert np.array_equal(twin.m, mixer.m)
+        assert twin.m is not mixer.m
+        assert not twin.m.flags.writeable
+        with pytest.raises(ValueError):
+            twin.m[:] = 0.0
+        assert not {"_singular_values", "_split_ranks"} & set(vars(twin))
+        assert check_structure(twin) == report
 
 
 class TestApplyMixer:
@@ -350,6 +441,137 @@ class TestCompressedSweep:
         assert report == oracle_structure_report(m, tag)
         assert report.ok == (offset < 0)
         assert exact_block_svds
+
+    def test_seeded_fuzz_matches_oracle(self):
+        """Scan, bimamba and hydra mixers with decays down to 1e-300,
+        softmax maps, banded plus graded low-rank matrices with noise above
+        the diagonal, and graded-spectrum matrices, at T <= 70 and tol from
+        1e-3 to 1e-15, each against several tags on one mixer."""
+        for m, tol, tags in fuzz_cases(2718, 150, 70):
+            mixer = MatrixMixer(m, MixerClass.dense())
+            for tag in tags:
+                report = check_structure(mixer, tol=tol, class_tag=tag)
+                assert report == oracle_structure_report(m, tag, tol), (m.shape, tol, tag)
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e-100, 1e100, 1e150, 1e154])
+    def test_extreme_scales_match_oracle(self, scale):
+        """Gram products that underflow or overflow send steps to the SVD
+        path; the reports stay the exact ones."""
+        mixers = seeded_scan_mixers(55, 48, 3)
+        for label in ("ssm", "hydra"):
+            m = mixers[label].m * scale
+            tag = mixers[label].class_tag
+            report = check_structure(MatrixMixer(m, tag))
+            assert report == oracle_structure_report(m, tag), label
+            assert report.ok, label
+
+    @pytest.mark.parametrize("corner, column", [(1e300, 1e160), (1e-160, 1e-165)])
+    def test_column_norm_neither_overflows_nor_underflows(self, corner, column):
+        """The first lower block is one column whose squares overflow
+        (a rank-0 block under a 1e300 reference scale) or underflow (a
+        rank-1 block under a 1e-160 one)."""
+        T = 6
+        m = np.zeros((T, T))
+        m[0, 0] = corner
+        m[1:, 0] = column
+        tag = MixerClass.semiseparable(1)
+        report = check_structure(MatrixMixer(m, tag))
+        assert report == oracle_structure_report(m, tag)
+        assert report.max_offdiag_block_rank == (column > DEFAULT_RANK_TOL * corner)
+
+    def test_benchmark_size_matches_oracle(self):
+        """The scan mixers and the hydra mistag at the size the
+        structure-audit benchmark checks them."""
+        T, N = 320, 16
+        mixers = seeded_scan_mixers(320, T, N)
+        for label, mixer in mixers.items():
+            report = check_structure(mixer)
+            assert report == oracle_structure_report(mixer.m, mixer.class_tag), label
+            assert report.ok and report.max_offdiag_block_rank == N, label
+        hydra = mixers["hydra"]
+        mistag = MixerClass.semiseparable(N)
+        report = check_structure(hydra, class_tag=mistag)
+        assert report == oracle_structure_report(hydra.m, mistag)
+        assert not report.ok
+
+    def test_rank_stable_step_keeps_its_bounds(self):
+        """An accepted rank-stable step keeps what the sweep's counts rest
+        on: the new column was within the drop floor of the factor's range,
+        the singular values of [c, col] lie within step_err of the new
+        factor's (and of zero past its width), and every value of the new
+        factor clears threshold + band. The factor's smallest value sits
+        a few floors from the threshold plus err, and the residual is up to
+        two floors, so both outcomes occur near each limit."""
+        rng = np.random.default_rng(5)
+        accepted = []
+        for _ in range(400):
+            k = int(rng.integers(1, 8))
+            rows = k + int(rng.integers(1, 60))
+            threshold = 10.0 ** rng.uniform(-8, 0)
+            floor = threshold * 10.0 ** -rng.uniform(0.5, 4)
+            err = threshold * rng.uniform(0, 0.5)
+            rounding = threshold * 1e-6
+            smallest = threshold + err + rounding + floor * rng.uniform(-1, 5)
+            values = smallest * np.logspace(rng.uniform(0, 6), 0, k)
+            u, _ = np.linalg.qr(rng.standard_normal((rows, k)))
+            v, _ = np.linalg.qr(rng.standard_normal((k, k)))
+            c = (u * values) @ v.T
+            off = rng.standard_normal(rows)
+            off -= u @ (u.T @ off)
+            off *= floor * rng.uniform(0, 2) / np.linalg.norm(off)
+            col = c @ rng.standard_normal(k) + off
+            step = mixer_core._rank_stable_step(c, col, threshold, err, rounding, floor)
+            accepted.append(step is not None)
+            if step is None:
+                continue
+            new_c, step_err = step
+            wide = np.linalg.svd(np.column_stack((c, col)), compute_uv=False)
+            thin = np.linalg.svd(new_c, compute_uv=False)
+            assert wide[k] <= floor * (1 + 1e-6)
+            assert np.all(np.abs(wide[:k] - thin) <= step_err) and wide[k] <= step_err
+            assert thin[-1] > threshold + err + step_err + rounding
+        assert 50 < sum(accepted) < 350
+
+    def test_sweep_charges_every_step(self, monkeypatch):
+        """The error bound handed to each rank-stable step includes the
+        step_err of the step before it, so the residuals the sweep drops
+        add up in the band."""
+        calls = []
+        step = mixer_core._rank_stable_step
+
+        def recorded(c, col, threshold, err, rounding, floor):
+            out = step(c, col, threshold, err, rounding, floor)
+            calls.append((c.shape[0], err, None if out is None else out[1]))
+            return out
+
+        monkeypatch.setattr(mixer_core, "_rank_stable_step", recorded)
+        assert check_structure(seeded_scan_mixers(9, 64, 4)["hydra"]).ok
+        chained = [(a, b) for a, b in zip(calls, calls[1:]) if a[2] is not None and b[0] == a[0] - 1]
+        assert len(chained) > 50
+        for (_, err, step_err), (_, next_err, _) in chained:
+            assert step_err > 0 and next_err >= err + step_err
+
+    def test_svds_only_where_block_rank_changes(self, svd_calls):
+        """At T=320 a rank-N scan mixer takes a thin SVD only while its
+        blocks grow to rank N and shrink again at the far end; the empty
+        upper side of a causal scan takes none. A second check at the same
+        tol, for any class, reuses the block ranks; another tol sweeps
+        again."""
+        T, N = 320, 16
+        mixers = seeded_scan_mixers(321, T, N)
+        for label, sides in (("ssm", 1), ("hydra", 2)):
+            mixer = mixers[label]
+            del svd_calls[:]
+            report = check_structure(mixer)
+            assert report.ok
+            assert len(svd_calls) <= 2 * N * sides + 1, label
+            del svd_calls[:]
+            assert check_structure(mixer, class_tag=MixerClass.semiseparable(N)).ok == (sides == 1)
+            assert not check_structure(mixer, class_tag=MixerClass.quasiseparable(2)).ok
+            assert check_structure(mixer) == report
+            assert svd_calls == [], label
+            check_structure(mixer, tol=1e-7)
+            assert 0 < len(svd_calls) <= 2 * N * sides, label
 
     @pytest.mark.parametrize("make", [hydra_mixer, bimamba_mixer])
     def test_scan_mixers_at_T1024(self, make):
