@@ -32,6 +32,7 @@ from .mixer_core import (
     NumericRangeError,
     ShapeError,
     _as_float_array,
+    _reduce_through_init,
 )
 from .rng import make_rng
 
@@ -65,6 +66,8 @@ class QkvTriple:
     q: np.ndarray
     k: np.ndarray
     v: np.ndarray
+
+    __reduce__ = _reduce_through_init
 
     def __post_init__(self) -> None:
         q = _as_float_array(self.q, "q", 2)
@@ -101,6 +104,8 @@ class OrthogonalFeatureMatrix:
 
     omega: np.ndarray
     seed: int
+
+    __reduce__ = _reduce_through_init
 
     def __post_init__(self) -> None:
         omega = _as_float_array(self.omega, "omega", 2)
@@ -179,6 +184,8 @@ class MhaWeights:
     wk: np.ndarray
     wv: np.ndarray
     wo: np.ndarray
+
+    __reduce__ = _reduce_through_init
 
     def __post_init__(self) -> None:
         mats = {}

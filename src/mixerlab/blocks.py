@@ -47,7 +47,7 @@ from .attention import (
     draw_orthogonal_features,
     multi_head_attention,
 )
-from .mixer_core import FeatureSequence, ShapeError, _as_float_array
+from .mixer_core import FeatureSequence, ShapeError, _as_float_array, _reduce_through_init
 from .rng import derive_seed, make_rng
 from .ssm import SelectiveWeights, bimamba_channelwise, hydra_channelwise
 
@@ -109,6 +109,8 @@ class FfwWeights:
     w2: np.ndarray
     b2: np.ndarray
 
+    __reduce__ = _reduce_through_init
+
     def __post_init__(self) -> None:
         w1 = _as_float_array(self.w1, "w1", 2)
         b1 = _as_float_array(self.b1, "b1", 1)
@@ -146,6 +148,8 @@ class DilatedConvWeights:
     kernel: np.ndarray
     dilation: int
     bias: np.ndarray
+
+    __reduce__ = _reduce_through_init
 
     def __post_init__(self) -> None:
         kernel = _as_float_array(self.kernel, "kernel", 2)
@@ -288,6 +292,8 @@ class BiMambaMixerConfig:
     bwd: SelectiveWeights
     out_proj: np.ndarray
 
+    __reduce__ = _reduce_through_init
+
     def __post_init__(self) -> None:
         out = _check_selective_pair(self.fwd, self.bwd, self.out_proj)
         object.__setattr__(self, "out_proj", out)
@@ -306,6 +312,8 @@ class HydraMixerConfig:
     bwd: SelectiveWeights
     diag_gain: np.ndarray
     out_proj: np.ndarray
+
+    __reduce__ = _reduce_through_init
 
     def __post_init__(self) -> None:
         out = _check_selective_pair(self.fwd, self.bwd, self.out_proj)
@@ -365,6 +373,8 @@ class DcHydraBlock:
     ffw_out: FfwWeights
     norm_scale: np.ndarray
     norm_shift: np.ndarray
+
+    __reduce__ = _reduce_through_init
 
     def __post_init__(self) -> None:
         scale = _as_float_array(self.norm_scale, "norm_scale", 1)

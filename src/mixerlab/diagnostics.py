@@ -25,6 +25,7 @@ from .mixer_core import (
     _as_float_array,
     _check_tol,
     _rank_against,
+    _reduce_through_init,
     _singular_values,
 )
 
@@ -65,6 +66,8 @@ class Histogram:
     bin_edges: np.ndarray
     counts: np.ndarray
     total: int
+
+    __reduce__ = _reduce_through_init
 
     def __post_init__(self) -> None:
         edges = _as_float_array(self.bin_edges, "bin_edges", 1)

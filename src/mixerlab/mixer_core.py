@@ -31,7 +31,8 @@ rank-0 condition on the mirrored upper blocks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -71,6 +72,18 @@ def _as_float_array(arr, name: str, ndim: int) -> np.ndarray:
     return out
 
 
+def _reduce_through_init(self):
+    """``__reduce__`` shared by the frozen containers that hold arrays.
+
+    Their constructors copy and freeze every array, but the default
+    dataclass copy and pickle paths skip the constructor and give
+    writeable arrays. Rebuilding through the constructor makes the arrays
+    read-only private copies again, and nothing cached on the original
+    carries over.
+    """
+    return (type(self), tuple(getattr(self, f.name) for f in fields(self)))
+
+
 @dataclass(frozen=True)
 class FeatureSequence:
     """A length-T sequence of d-dimensional real feature frames.
@@ -81,6 +94,8 @@ class FeatureSequence:
     """
 
     data: np.ndarray
+
+    __reduce__ = _reduce_through_init
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "data", _as_float_array(self.data, "data", 2))
@@ -148,6 +163,8 @@ class MatrixMixer:
     m: np.ndarray
     class_tag: MixerClass
 
+    __reduce__ = _reduce_through_init
+
     def __post_init__(self) -> None:
         m = _as_float_array(self.m, "m", 2)
         if m.shape[0] != m.shape[1]:
@@ -159,11 +176,6 @@ class MatrixMixer:
     @property
     def T(self) -> int:
         return self.m.shape[0]
-
-    def __reduce__(self):
-        # Copies and unpickled mixers go through the constructor, so ``m``
-        # is a frozen private copy again and no cached result carries over.
-        return (type(self), (self.m, self.class_tag))
 
 
 @dataclass(frozen=True)
@@ -195,14 +207,23 @@ def apply_mixer(mixer: MatrixMixer, x: FeatureSequence) -> FeatureSequence:
     return FeatureSequence(mixer.m @ x.data)
 
 
-def _check_tol(tol) -> None:
-    """Reject a rank tolerance that is not a positive finite real number.
+def _is_real(v) -> bool:
+    """True for a finite real scalar: a Python or numpy int or float.
 
-    ``bool`` is an ``int`` subclass, so it is refused explicitly.
+    ``bool`` is an ``int`` subclass, so it is refused explicitly, and an
+    int too large for a float counts as not finite.
     """
-    if isinstance(tol, bool) or not (
-        isinstance(tol, (int, float)) and np.isfinite(tol) and tol > 0
-    ):
+    if not isinstance(v, numbers.Real) or isinstance(v, bool):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
+
+
+def _check_tol(tol) -> None:
+    """Reject a rank tolerance that is not a positive finite real number."""
+    if not (_is_real(tol) and tol > 0):
         raise ValueError(f"tol must be a positive finite number, got {tol!r}")
 
 

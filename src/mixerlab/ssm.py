@@ -14,6 +14,13 @@ an order-N semiseparable matrix: every maximal block below the diagonal
 has rank at most N. ``ssm_scan`` runs the O(T N) recurrence and
 ``ssm_mixer`` materializes m, so the two agree up to roundoff.
 
+The d channels of a sequence share one set of scan parameters, so mixing
+them is ``Y = m @ X`` with the same m for every column of X.
+``bimamba_channelwise`` and ``hydra_channelwise`` derive the parameters
+once and scan each channel with the 1-D recurrence. The reverse step and
+the hydra shift and diagonal live in one place each, shared by the 1-D
+and the channelwise forms.
+
 Selectivity means a, b, c are functions of the input sequence: a step
 size delta_t = softplus(w_delta . x_t + bias) sets a_t =
 exp(-delta_t * exp(a_log)) and scales b_t = delta_t * (w_b @ x_t), with
@@ -50,6 +57,8 @@ from .mixer_core import (
     NumericRangeError,
     ShapeError,
     _as_float_array,
+    _is_real,
+    _reduce_through_init,
 )
 
 __all__ = [
@@ -86,6 +95,8 @@ class ScanParams:
     b: np.ndarray
     c: np.ndarray
     delta: Optional[np.ndarray] = None
+
+    __reduce__ = _reduce_through_init
 
     def __post_init__(self) -> None:
         a = _as_float_array(self.a, "a", 1)
@@ -127,7 +138,8 @@ class SelectiveWeights:
 
     ``w_delta`` (d,) and ``bias`` produce the step size, ``w_b`` and
     ``w_c`` (both (N, d)) produce input and readout vectors, and
-    ``a_log`` is the log of the base decay rate.
+    ``a_log`` is the log of the base decay rate. ``bias`` and ``a_log``
+    must be finite real scalars, Python or numpy; bools are refused.
     """
 
     w_delta: np.ndarray
@@ -135,6 +147,8 @@ class SelectiveWeights:
     w_b: np.ndarray
     w_c: np.ndarray
     a_log: float
+
+    __reduce__ = _reduce_through_init
 
     def __post_init__(self) -> None:
         w_delta = _as_float_array(self.w_delta, "w_delta", 1)
@@ -150,7 +164,7 @@ class SelectiveWeights:
             )
         for name in ("bias", "a_log"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and np.isfinite(v)):
+            if not _is_real(v):
                 raise NumericRangeError(f"{name} must be a finite number, got {v!r}")
         object.__setattr__(self, "w_delta", w_delta)
         object.__setattr__(self, "w_b", w_b)
@@ -202,6 +216,8 @@ class HydraParams:
     bwd: ScanParams
     diag_delta: np.ndarray
 
+    __reduce__ = _reduce_through_init
+
     def __post_init__(self) -> None:
         _check_pair(self.fwd, self.bwd)
         diag = _as_float_array(self.diag_delta, "diag_delta", 1)
@@ -244,6 +260,20 @@ def ssm_scan(params: ScanParams, x) -> np.ndarray:
     for t in range(params.T):
         h = a[t] * h + b[t] * x[t]
         y[t] = c[t] @ h
+    return y
+
+
+def _both_ways(fwd: ScanParams, bwd: ScanParams, x: np.ndarray):
+    """Forward scan of x, and backward scan of reversed x flipped back."""
+    return ssm_scan(fwd, x), ssm_scan(bwd, x[::-1])[::-1]
+
+
+def _hydra(fwd: ScanParams, bwd: ScanParams, x: np.ndarray, diag) -> np.ndarray:
+    """Shifted scans of x plus ``diag * x``; ``diag`` is (T,) or a scalar."""
+    yf, yb = _both_ways(fwd, bwd, x)
+    y = diag * x
+    y[1:] += yf[:-1]
+    y[:-1] += yb[1:]
     return y
 
 
@@ -314,11 +344,18 @@ def selective_parameterize(x: FeatureSequence, weights: SelectiveWeights) -> Sca
     return ScanParams(a=a, b=b, c=c, delta=delta)
 
 
+def _selective_pair(x: FeatureSequence, fwd: SelectiveWeights, bwd: SelectiveWeights):
+    """Forward parameters from x, backward ones from reversed x."""
+    fwd_p = selective_parameterize(x, fwd)
+    bwd_p = selective_parameterize(FeatureSequence(x.data[::-1]), bwd)
+    _check_pair(fwd_p, bwd_p)
+    return fwd_p, bwd_p
+
+
 def bimamba_apply(params: BiMambaParams, x) -> np.ndarray:
     """Forward scan plus reversed backward scan of the reversed signal."""
     x = _as_signal(x, params.T)
-    fwd = ssm_scan(params.fwd, x)
-    bwd = ssm_scan(params.bwd, x[::-1])[::-1]
+    fwd, bwd = _both_ways(params.fwd, params.bwd, x)
     return fwd + bwd
 
 
@@ -339,12 +376,11 @@ def bimamba_channelwise(
 ) -> FeatureSequence:
     """Selective bidirectional mixing of every channel of a sequence.
 
-    Forward parameters come from x, backward parameters from reversed x,
-    and each channel is scanned independently with the shared parameters.
+    Forward parameters come from x, backward parameters from reversed x.
+    Every channel shares them, so the stage is ``bimamba_mixer(...).m @
+    x.data``, computed one channel at a time by :func:`bimamba_apply`.
     """
-    fwd_p = selective_parameterize(x, fwd)
-    bwd_p = selective_parameterize(FeatureSequence(x.data[::-1]), bwd)
-    params = BiMambaParams(fwd_p, bwd_p)
+    params = BiMambaParams(*_selective_pair(x, fwd, bwd))
     out = np.empty_like(x.data)
     for ch in range(x.d):
         out[:, ch] = bimamba_apply(params, x.data[:, ch])
@@ -359,12 +395,7 @@ def hydra_apply(params: HydraParams, x) -> np.ndarray:
     Boundary positions receive zero from the shifted-out ends.
     """
     x = _as_signal(x, params.T)
-    yf = ssm_scan(params.fwd, x)
-    yb = ssm_scan(params.bwd, x[::-1])[::-1]
-    y = params.diag_delta * x
-    y[1:] += yf[:-1]
-    y[:-1] += yb[1:]
-    return y
+    return _hydra(params.fwd, params.bwd, x, params.diag_delta)
 
 
 def hydra_mixer(params: HydraParams) -> MatrixMixer:
@@ -394,15 +425,15 @@ def hydra_channelwise(
 
     ``diag_gain`` holds one diagonal scalar per channel, broadcast over
     time. Parameters are shared across channels as in
-    :func:`bimamba_channelwise`.
+    :func:`bimamba_channelwise`, so the stage is ``hydra_mixer(HydraParams
+    (fwd, bwd, 0)).m @ x.data + x.data * diag_gain``, computed one
+    channel at a time with that channel's gain as the diagonal.
     """
     gain = _as_float_array(diag_gain, "diag_gain", 1)
     if gain.shape[0] != x.d:
         raise ShapeError(f"diag_gain has length {gain.shape[0]}, expected {x.d}")
-    fwd_p = selective_parameterize(x, fwd)
-    bwd_p = selective_parameterize(FeatureSequence(x.data[::-1]), bwd)
+    fwd_p, bwd_p = _selective_pair(x, fwd, bwd)
     out = np.empty_like(x.data)
     for ch in range(x.d):
-        params = HydraParams(fwd_p, bwd_p, np.full(x.T, gain[ch]))
-        out[:, ch] = hydra_apply(params, x.data[:, ch])
+        out[:, ch] = _hydra(fwd_p, bwd_p, x.data[:, ch], gain[ch])
     return FeatureSequence(out)

@@ -1,6 +1,7 @@
 """Tests for mixer containers, application, and structure checking."""
 
 import copy
+import dataclasses
 import pickle
 
 import numpy as np
@@ -8,13 +9,17 @@ import pytest
 
 from mixerlab import (
     DEFAULT_RANK_TOL,
+    BlockStackConfig,
     FeatureSequence,
     MatrixMixer,
     MixerClass,
+    QkvTriple,
     ShapeError,
     StructureReport,
     apply_mixer,
     check_structure,
+    init_stack,
+    pairwise_l2_histogram,
 )
 from mixerlab import mixer_core
 from mixerlab.ssm import (
@@ -245,6 +250,69 @@ class TestMatrixMixer:
             twin.m[:] = 0.0
         assert not {"_singular_values", "_split_ranks"} & set(vars(twin))
         assert check_structure(twin) == report
+
+
+def frozen_containers():
+    """One instance of every frozen container whose constructor copies and
+    freezes arrays, by class name."""
+    rng = np.random.default_rng(17)
+    scan = ScanParams(
+        a=rng.uniform(0.1, 1.0, 4), b=rng.standard_normal((4, 2)), c=rng.standard_normal((4, 2))
+    )
+    blocks = {
+        kind: init_stack(
+            BlockStackConfig(d_model=8, num_blocks=1, mixer_kind=kind),
+            0, num_heads=2, feature_count=4, state_size=2,
+        )[0]
+        for kind in ("hydra", "bimamba", "favor")
+    }
+    favor = blocks["favor"].mixer_config
+    return {
+        "FeatureSequence": FeatureSequence(rng.standard_normal((3, 2))),
+        "MatrixMixer": MatrixMixer(rng.standard_normal((3, 3)), MixerClass.dense()),
+        "ScanParams": scan,
+        "SelectiveWeights": blocks["hydra"].mixer_config.fwd,
+        "BiMambaParams": BiMambaParams(scan, scan),
+        "HydraParams": HydraParams(scan, scan, rng.standard_normal(4)),
+        "QkvTriple": QkvTriple(*rng.standard_normal((3, 4, 2))),
+        "OrthogonalFeatureMatrix": favor.omegas[0],
+        "MhaWeights": favor.weights,
+        "Histogram": pairwise_l2_histogram(MatrixMixer(np.eye(4), MixerClass.dense()), bins=3),
+        "FfwWeights": blocks["hydra"].ffw_in,
+        "DilatedConvWeights": blocks["hydra"].conv,
+        "HydraMixerConfig": blocks["hydra"].mixer_config,
+        "BiMambaMixerConfig": blocks["bimamba"].mixer_config,
+        "DcHydraBlock": blocks["favor"],
+    }
+
+
+def arrays_of(obj, path="obj"):
+    """Every array reachable through dataclass fields and tuples."""
+    if isinstance(obj, np.ndarray):
+        yield path, obj
+    elif dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            yield from arrays_of(getattr(obj, f.name), f"{path}.{f.name}")
+    elif isinstance(obj, tuple):
+        for i, item in enumerate(obj):
+            yield from arrays_of(item, f"{path}[{i}]")
+
+
+@pytest.mark.parametrize(
+    "clone",
+    [copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+@pytest.mark.parametrize("name", sorted(frozen_containers()))
+def test_copies_of_frozen_containers_stay_read_only(name, clone):
+    original = frozen_containers()[name]
+    twin = clone(original)
+    assert type(twin) is type(original)
+    before, after = dict(arrays_of(original)), dict(arrays_of(twin))
+    assert before and before.keys() == after.keys()
+    for path, arr in after.items():
+        assert not arr.flags.writeable, path
+        assert arr.dtype == before[path].dtype and np.array_equal(arr, before[path]), path
 
 
 class TestApplyMixer:

@@ -1,11 +1,14 @@
 """Tests for selective scans, their materializations, and the two
 bidirectional couplings."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from mixerlab import (
     BiMambaParams,
+    BlockStackConfig,
     FeatureSequence,
     HydraParams,
     MixerClass,
@@ -20,6 +23,8 @@ from mixerlab import (
     hydra_apply,
     hydra_channelwise,
     hydra_mixer,
+    init_stack,
+    mixer_apply,
     segment_product,
     selective_parameterize,
     ssm_mixer,
@@ -33,6 +38,19 @@ def random_params(rng, T, N, a_lo=0.05):
         b=rng.standard_normal((T, N)),
         c=rng.standard_normal((T, N)),
     )
+
+
+def hand_loop_scan(p, X):
+    """The recurrence step by step and channel by channel over (T, d)
+    input, written out independently of the package's scan."""
+    T, d = X.shape
+    Y = np.zeros((T, d))
+    for ch in range(d):
+        h = np.zeros(p.N)
+        for t in range(T):
+            h = p.a[t] * h + p.b[t] * X[t, ch]
+            Y[t, ch] = p.c[t] @ h
+    return Y
 
 
 def mixer_by_probing(apply_fn, T):
@@ -244,6 +262,22 @@ class TestSelectiveParameterize:
         x = FeatureSequence(np.zeros((2, 1)))
         with pytest.raises(NumericRangeError):
             selective_parameterize(x, w)
+
+    def test_scalar_fields_refuse_bools_and_accept_numpy_scalars(self):
+        """bias and a_log follow the tolerance rule: any finite real scalar,
+        Python or numpy, but never a bool."""
+        def weights(bias, a_log):
+            return SelectiveWeights(np.ones(2), bias, np.ones((1, 2)), np.ones((1, 2)), a_log)
+
+        for bias, a_log in ((True, 0.0), (0.0, False), (np.True_, 0.0), (0.0, np.False_)):
+            with pytest.raises(NumericRangeError):
+                weights(bias, a_log)
+        for bad in (np.float32(np.inf), np.float64(np.nan), 10**400, "0.5", None):
+            with pytest.raises(NumericRangeError):
+                weights(bad, 0.0)
+        w = weights(np.float32(0.5), np.int64(-1))
+        assert (w.bias, w.a_log) == (0.5, -1.0)
+        assert type(w.bias) is float and type(w.a_log) is float
 
     def test_decay_underflow_rejected(self):
         """Huge rates push a_t = exp(-delta * exp(a_log)) to exact zero."""
@@ -485,3 +519,70 @@ class TestChannelwise:
             np.testing.assert_allclose(
                 y.data[:, col], bimamba_apply(params, x.data[:, col]), atol=1e-13
             )
+
+
+class TestChannelwiseOracles:
+    """Multichannel mixing at block width against references that share
+    no code with the scan: the materialized T x T matrices, and a
+    per-step, per-channel hand loop."""
+
+    d, N = 256, 16
+
+    def setup_inputs(self, T, kind="hydra"):
+        (block,) = init_stack(
+            BlockStackConfig(d_model=self.d, num_blocks=1, mixer_kind=kind),
+            seed=T,
+            state_size=self.N,
+        )
+        rng = np.random.default_rng(T)
+        x = FeatureSequence(rng.standard_normal((T, self.d)))
+        cfg = block.mixer_config
+        p_f = selective_parameterize(x, cfg.fwd)
+        p_b = selective_parameterize(FeatureSequence(x.data[::-1]), cfg.bwd)
+        return x, cfg, p_f, p_b, rng.standard_normal(self.d)
+
+    @pytest.mark.parametrize("kind", ["hydra", "bimamba"])
+    @pytest.mark.parametrize("T", [1, 2, 256])
+    def test_matches_materialized_mixer(self, T, kind):
+        x, cfg, p_f, p_b, gain = self.setup_inputs(T, kind)
+        if kind == "hydra":
+            m = hydra_mixer(HydraParams(p_f, p_b, np.zeros(T))).m
+            mixed = m @ x.data + x.data * gain
+            got = hydra_channelwise(x, cfg.fwd, cfg.bwd, gain).data
+            cfg = dataclasses.replace(cfg, diag_gain=gain)
+        else:
+            mixed = bimamba_mixer(BiMambaParams(p_f, p_b)).m @ x.data
+            got = bimamba_channelwise(x, cfg.fwd, cfg.bwd).data
+        assert np.max(np.abs(got - mixed)) <= 1e-9
+        got = mixer_apply(x, cfg).data
+        assert np.max(np.abs(got - mixed @ cfg.out_proj)) <= 1e-9
+
+    @pytest.mark.parametrize("T", [1, 2, 33])
+    def test_hand_loop_over_every_channel(self, T):
+        rng = np.random.default_rng(70 + T)
+        d = 9
+        w = [
+            SelectiveWeights(
+                w_delta=rng.standard_normal(d) / 3,
+                bias=0.1,
+                w_b=rng.standard_normal((3, d)),
+                w_c=rng.standard_normal((3, d)),
+                a_log=0.0,
+            )
+            for _ in range(2)
+        ]
+        x = FeatureSequence(rng.standard_normal((T, d)))
+        gain = rng.standard_normal(d)
+        p_f = selective_parameterize(x, w[0])
+        p_b = selective_parameterize(FeatureSequence(x.data[::-1]), w[1])
+        yf = hand_loop_scan(p_f, x.data)
+        yb = hand_loop_scan(p_b, x.data[::-1])[::-1]
+        np.testing.assert_allclose(
+            bimamba_channelwise(x, *w).data, yf + yb, rtol=0, atol=1e-12
+        )
+        expected = x.data * gain
+        expected[1:] += yf[:-1]
+        expected[:-1] += yb[1:]
+        np.testing.assert_allclose(
+            hydra_channelwise(x, *w, gain).data, expected, rtol=0, atol=1e-12
+        )
