@@ -32,6 +32,8 @@ from .mixer_core import (
     NumericRangeError,
     ShapeError,
     _as_float_array,
+    _is_int,
+    _is_real,
     _reduce_through_init,
 )
 from .rng import make_rng
@@ -146,11 +148,11 @@ class RopeConfig:
     base: float = 10000.0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.d_head, int) or isinstance(self.d_head, bool) or self.d_head < 2:
+        if not _is_int(self.d_head) or self.d_head < 2:
             raise ValueError(f"d_head must be an integer >= 2, got {self.d_head!r}")
         if self.d_head % 2 != 0:
             raise ValueError(f"rotary embedding needs an even d_head, got {self.d_head}")
-        if not (isinstance(self.base, (int, float)) and np.isfinite(self.base) and self.base > 0):
+        if not (_is_real(self.base) and self.base > 0):
             raise ValueError(f"base must be a positive finite number, got {self.base!r}")
 
 
@@ -164,7 +166,7 @@ class MultiHeadConfig:
     def __post_init__(self) -> None:
         for name in ("d_model", "num_heads"):
             v = getattr(self, name)
-            if not isinstance(v, int) or isinstance(v, bool) or v < 1:
+            if not _is_int(v) or v < 1:
                 raise ValueError(f"{name} must be a positive integer, got {v!r}")
         if self.d_model % self.num_heads != 0:
             raise ShapeError(
@@ -253,10 +255,9 @@ def draw_orthogonal_features(d_head: int, r: int, seed: int) -> OrthogonalFeatur
     marginally a standard Gaussian direction with the norm distribution
     of a d_head-dimensional Gaussian vector.
     """
-    if not isinstance(d_head, int) or isinstance(d_head, bool) or d_head < 1:
-        raise ValueError(f"d_head must be a positive integer, got {d_head!r}")
-    if not isinstance(r, int) or isinstance(r, bool) or r < 1:
-        raise ValueError(f"r must be a positive integer, got {r!r}")
+    for name, v in (("d_head", d_head), ("r", r)):
+        if not _is_int(v) or v < 1:
+            raise ValueError(f"{name} must be a positive integer, got {v!r}")
     rng = make_rng(seed)
     rows = []
     for start in range(0, r, d_head):

@@ -31,6 +31,7 @@ from .attention import (
     favor_attention,
     softmax_attention,
 )
+from .mixer_core import _is_int
 from .rng import derive_seed, make_rng
 from .ssm import (
     BiMambaParams,
@@ -82,7 +83,7 @@ class BenchSample:
             raise ValueError(f"unknown op_label {self.op_label!r}")
         for name, lo in (("T", 1), ("d", 1), ("r_or_N", 0), ("repeats", 3), ("est_peak_bytes", 0)):
             v = getattr(self, name)
-            if not isinstance(v, int) or isinstance(v, bool) or v < lo:
+            if not _is_int(v) or v < lo:
                 raise ValueError(f"{name} must be an integer >= {lo}, got {v!r}")
         if not (isinstance(self.wall_time, (int, float)) and self.wall_time > 0):
             raise ValueError(f"wall_time must be positive, got {self.wall_time!r}")
@@ -166,7 +167,7 @@ def time_operation(
         raise ValueError(f"need at least 3 sequence lengths, got {len(ts)}")
     if any(b <= a for a, b in zip(ts, ts[1:])):
         raise ValueError(f"T_values must be strictly ascending, got {ts}")
-    if not isinstance(repeats, int) or isinstance(repeats, bool) or repeats < 3:
+    if not _is_int(repeats) or repeats < 3:
         raise ValueError(f"repeats must be an integer >= 3, got {repeats!r}")
     samples = []
     for ti, T in enumerate(ts):

@@ -47,7 +47,7 @@ from .attention import (
     draw_orthogonal_features,
     multi_head_attention,
 )
-from .mixer_core import FeatureSequence, ShapeError, _as_float_array, _reduce_through_init
+from .mixer_core import FeatureSequence, ShapeError, _as_float_array, _is_int, _reduce_through_init
 from .rng import derive_seed, make_rng
 from .ssm import SelectiveWeights, bimamba_channelwise, hydra_channelwise
 
@@ -158,7 +158,7 @@ class DilatedConvWeights:
             raise ShapeError(
                 f"bias has length {bias.shape[0]}, kernel has {kernel.shape[0]} channels"
             )
-        if not isinstance(self.dilation, int) or isinstance(self.dilation, bool) or self.dilation < 1:
+        if not _is_int(self.dilation) or self.dilation < 1:
             raise ValueError(f"dilation must be a positive integer, got {self.dilation!r}")
         object.__setattr__(self, "kernel", kernel)
         object.__setattr__(self, "bias", bias)
@@ -199,7 +199,7 @@ def dilated_dw_conv(x: FeatureSequence, w: DilatedConvWeights) -> FeatureSequenc
 def dilation_for_block(block_index: int, period: int) -> int:
     """Dilation schedule: doubles every ``period`` blocks, 2**(i // period)."""
     for name, v, lo in (("block_index", block_index, 0), ("period", period, 1)):
-        if not isinstance(v, int) or isinstance(v, bool) or v < lo:
+        if not _is_int(v) or v < lo:
             raise ValueError(f"{name} must be an integer >= {lo}, got {v!r}")
     return 2 ** (block_index // period)
 
@@ -428,7 +428,7 @@ class BlockStackConfig:
     def __post_init__(self) -> None:
         for name in ("d_model", "num_blocks", "dilation_period", "kernel_size"):
             v = getattr(self, name)
-            if not isinstance(v, int) or isinstance(v, bool) or v < 1:
+            if not _is_int(v) or v < 1:
                 raise ValueError(f"{name} must be a positive integer, got {v!r}")
         if self.mixer_kind not in MIXER_KINDS:
             raise ValueError(

@@ -58,7 +58,7 @@ from .diagnostics import (
     write_locality,
     write_rank_report,
 )
-from .mixer_core import FeatureSequence, _check_tol, apply_mixer
+from .mixer_core import FeatureSequence, _check_tol, _is_int, apply_mixer
 from .rng import derive_seed, make_rng
 from .ssm import (
     BiMambaParams,
@@ -127,9 +127,7 @@ class RunConfig:
                 raise ConfigError(str(exc)) from None
             object.__setattr__(self, "d_model", shape.d_model)
             object.__setattr__(self, "num_blocks", shape.num_blocks)
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or not (
-            0 <= self.seed < 2**64
-        ):
+        if not _is_int(self.seed) or not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed must be a 64-bit nonnegative integer, got {self.seed!r}")
         for name in (
             "T",
@@ -147,7 +145,7 @@ class RunConfig:
             "bench_r",
         ):
             v = getattr(self, name)
-            if not isinstance(v, int) or isinstance(v, bool) or v < 1:
+            if not _is_int(v) or v < 1:
                 raise ConfigError(f"{name} must be a positive integer, got {v!r}")
         if self.mixer_kind not in MIXER_KINDS:
             raise ConfigError(
@@ -161,7 +159,7 @@ class RunConfig:
             vals = getattr(self, name)
             if not isinstance(vals, tuple) or len(vals) == 0:
                 raise ConfigError(f"{name} must be a nonempty tuple of integers")
-            if any(not isinstance(v, int) or isinstance(v, bool) or v < 1 for v in vals):
+            if any(not _is_int(v) or v < 1 for v in vals):
                 raise ConfigError(f"{name} entries must be positive integers, got {vals!r}")
         if not isinstance(self.output_dir, str) or not self.output_dir:
             raise ConfigError(f"output_dir must be a nonempty path, got {self.output_dir!r}")

@@ -24,6 +24,7 @@ from .mixer_core import (
     MixerClass,
     _as_float_array,
     _check_tol,
+    _is_int,
     _rank_against,
     _reduce_through_init,
     _singular_values,
@@ -220,7 +221,7 @@ def pairwise_l2_histogram(mixer: MatrixMixer, bins: int = 50) -> Histogram:
     arithmetic. Work is done in row blocks, so transient memory stays
     near two floats per pair.
     """
-    if not isinstance(bins, int) or isinstance(bins, bool) or bins < 1:
+    if not _is_int(bins) or bins < 1:
         raise ValueError(f"bins must be a positive integer, got {bins!r}")
     m = mixer.m
     T = mixer.T

@@ -133,7 +133,7 @@ class MixerClass:
             if self.order is not None:
                 raise ValueError("dense mixers take no order parameter")
         else:
-            if not isinstance(self.order, int) or isinstance(self.order, bool) or self.order < 1:
+            if not _is_int(self.order) or self.order < 1:
                 raise ValueError(f"{self.kind} requires a positive integer order, got {self.order!r}")
 
     @classmethod
@@ -205,6 +205,11 @@ def apply_mixer(mixer: MatrixMixer, x: FeatureSequence) -> FeatureSequence:
             f"mixer is {mixer.T}x{mixer.T} but sequence has {x.T} frames"
         )
     return FeatureSequence(mixer.m @ x.data)
+
+
+def _is_int(v) -> bool:
+    """True for a Python int that is not a bool (an ``int`` subclass)."""
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _is_real(v) -> bool:
@@ -290,6 +295,14 @@ _SWEEP_ROUNDING = 16.0
 # matrices; rounding up switches to exact SVDs a little early.
 _THIN_SVD_COST = 4
 _EPS = float(np.finfo(np.float64).eps)
+# Most splits one rank-stable certificate covers. A batch costs about
+# twenty numpy calls whatever its width, so wide batches save per-call
+# overhead while they certify; the columns past a failing residual or
+# certificate were solved for nothing.
+_SWEEP_BATCH = 16
+# Keeps entry (s, t) of a batch's top rows when s >= t: column t starts t
+# rows below the first.
+_BATCH_MASK = np.tri(_SWEEP_BATCH)
 # Underflow allowance per term of a norm taken from a sum of squares: a
 # square can lose up to the subnormal spacing, far below this value's
 # square, and the square root turns that into an absolute error of this
@@ -316,66 +329,92 @@ def _svd_cost(rows: int, cols: int) -> int:
     return max(rows, cols) * min(rows, cols) ** 2
 
 
-def _rank_stable_step(c: np.ndarray, col: np.ndarray, threshold: float, err: float,
-                      rounding: float, floor: float):
-    """Fold ``col`` into the thin factor ``c`` without an SVD, when the
-    block keeps the factor's rank k and all k values clear the threshold.
+def _rank_stable_steps(c: np.ndarray, cols: np.ndarray, threshold: float, err: float,
+                       rounding: float, floor: float):
+    """Fold the p columns of ``cols`` into the thin factor ``c`` without
+    an SVD, when every block they reach keeps the factor's rank k and all
+    k values clear the threshold; p = 1 is a single split.
 
-    Returns ``(new_c, step_err)``, or None when a test fails and the
-    caller must take an SVD step. For any ``y``, ``col = c y + r``
-    exactly, and ``[c, c y] = c S Q`` with ``S = I + alpha y y^T``, the
-    symmetric square root of ``I + y y^T``, and ``Q = S^-1 [I, y]``
-    with orthonormal rows. So ``[c, col]`` is ``new_c Q`` up to ``r``
-    and the rounding of ``new_c = c S``; ``step_err`` bounds both with
-    Higham's gamma bounds for inner products (Higham 2002, §3.1), using
-    ``|| |c| |y| || <= ||c||_F ||y||`` and ``alpha ||y|| < 1``. ``y``
-    solves the normal equations, refined once if the residual is not yet
-    within the drop floor; its accuracy only decides whether it passes.
+    ``c`` is the factor of the block one split before the batch, and
+    column t of ``cols`` is the t-th split's new column on ``c[1:]``'s
+    rows; its first t entries belong to other blocks and are masked out.
+    Column t is solved against ``c[t+1:]``: one product gives all
+    right-hand sides, one stacked solve takes all Grams ``c[t+1:]^T
+    c[t+1:]`` (``c[p:]``'s plus the rows above, so nothing cancels) and
+    is refined once if a residual is not yet within the drop floor, and
+    one product gives all residuals. Returns ``(new_c, step_err, q)``
+    for the leading q columns within the floor, q halved while the
+    certificate fails, or None when no column passes and the caller
+    must take an SVD step.
 
-    The singular values of ``c S`` are at least those of ``c``, since
-    ``S`` has none below 1, and ``new_c`` differs from ``c S`` by
-    rounding only. A Cholesky factorization of ``c^T c`` minus a shift
-    certifies ``c``'s smallest value: the square of threshold plus band
-    plus that rounding, plus the Gram product's rounding and the
-    Cholesky backward error (Demmel 1989; Rump 2006, BIT 46). Its
-    success proves every value of ``new_c`` clears threshold + band.
+    ``new_c = c[q:] L``, with ``L`` the Cholesky factor of ``I + Y Y^T``
+    for the q solutions Y. ``step_err`` charges each residual norm and
+    the rounding of its product and norm (Higham 2002, §3.1, with ``||
+    |c| |y| || <= ||c||_F ||y||``), plus the rounding of ``new_c``:
+    forming ``I + Y Y^T`` and the Cholesky backward error (Higham 2002,
+    Thm 10.3) move ``L L^T`` by at most ``delta = 3 gamma (k +
+    ||Y||_F^2)``; no eigenvalue of ``I + Y Y^T`` is below 1, so one of
+    its exact square roots lies within ``delta`` of ``L``; the product
+    adds ``gamma ||c||_F ||L||_F``. A Cholesky factorization of ``c[q:]^T
+    c[q:]`` minus a shift certifies ``c[q:]``'s smallest value: the
+    square of threshold plus band plus that rounding, plus the Gram
+    product's rounding and the Cholesky backward error (Demmel 1989;
+    Rump 2006, BIT 46). By the proof in :func:`_split_ranks` that
+    certifies all q counts, and every value of ``new_c`` clears
+    threshold + band.
     """
     rows, k = c.shape
-    gram = c.T @ c
+    p = cols.shape[1]
+    mask = _BATCH_MASK[:p, :p]
+    slab = cols.copy()
+    slab[:p] *= mask
+    below, top = c[1:], c[1:p]
+    grams = (top.T * mask[:-1].T[:, None, :]) @ top + c[p:].T @ c[p:]
+    y, r = np.zeros((p, k)), slab
     try:
-        y = np.linalg.solve(gram, c.T @ col)
-        r = col - c @ y
-        norm_r = math.sqrt(float(r @ r))
+        # solve, then refine once if a residual is not yet within the floor;
         # comparisons are written so that a NaN fails them
-        if not norm_r <= floor:
-            y += np.linalg.solve(gram, c.T @ r)
-            r = col - c @ y
-            norm_r = math.sqrt(float(r @ r))
+        for _ in range(2):
+            y += np.linalg.solve(grams, (below.T @ r).T[:, :, None])[:, :, 0]
+            r = slab - below @ y.T
+            r[:p] *= mask
+            norms = np.sqrt(np.einsum("ij,ij->j", r, r))
+            fits = norms <= floor
+            if fits.all():
+                break
     except np.linalg.LinAlgError:
         return None
-    if not norm_r <= floor:
+    q = p if fits.all() else int(fits.argmin())
+    if not q:
         return None
     g = _gamma(rows + 2 * k + 8)
     tiny = (rows + k + 8) * _SWEEP_TINY_ROOT
-    trace = float(gram.trace())
-    frobenius = math.sqrt(trace)
-    yy = float(y @ y)
-    products = 2.0 * g * (math.sqrt(float(col @ col)) + frobenius * (2.0 + 3.0 * math.sqrt(yy))) + tiny
-    step_err = (1.0 + g) * norm_r + products
-    band = err + step_err + rounding
-    # Gram entries and Cholesky intermediates stay below the trace, so a
-    # finite 4 * trace rules out overflow in the certificate
-    if not (band < threshold and math.isfinite(4.0 * trace)):
-        return None
-    clearance = (threshold + band + products) * (1.0 + 8.0 * _EPS)
-    gram.flat[:: k + 1] -= clearance * clearance + 2.0 * g * trace + tiny * tiny
-    try:
-        np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError:
-        return None
-    root = np.outer(y / (1.0 + math.sqrt(1.0 + yy)), y)
-    root.flat[:: k + 1] += 1.0
-    return c @ root, step_err
+    frobenius = math.sqrt(float(grams[0].trace()))
+    yy = np.einsum("ij,ij->i", y, y)
+    charged = np.cumsum((1.0 + g) * norms + tiny + 2.0 * g * (
+        np.sqrt(np.einsum("ij,ij->j", slab, slab)) + frobenius * np.sqrt(yy)))
+    yy = np.cumsum(yy)
+    while q:
+        gram = grams[q - 1].copy()
+        trace = float(gram.trace())
+        spread = k + float(yy[q - 1])
+        factor = math.sqrt(trace) * g * (4.0 * spread + 2.0 * math.sqrt(spread))
+        step_err = float(charged[q - 1]) + factor
+        band = err + step_err + rounding
+        # Gram entries and Cholesky intermediates stay below the trace, so a
+        # finite 4 * trace rules out overflow in the certificate
+        if band < threshold and math.isfinite(4.0 * trace):
+            clearance = (threshold + band + factor) * (1.0 + 8.0 * _EPS)
+            gram.flat[:: k + 1] -= clearance * clearance + 2.0 * g * trace + tiny * tiny
+            try:
+                np.linalg.cholesky(gram)
+                root = y[:q].T @ y[:q]
+                root.flat[:: k + 1] += 1.0
+                return c[q:] @ np.linalg.cholesky(root), step_err, q
+            except np.linalg.LinAlgError:
+                pass
+        q //= 2
+    return None
 
 
 def _split_ranks(a: np.ndarray, block, tol: float, sigma_ref: float, order: int) -> list:
@@ -393,18 +432,36 @@ def _split_ranks(a: np.ndarray, block, tol: float, sigma_ref: float, order: int)
     values are those of the thin matrix ``w = [c[1:], a[i:, i-1]]`` to
     within err.
 
-    Each step first tries a rank-stable step (:func:`_rank_stable_step`),
-    which needs no SVD: when the new column lies in the range of
-    ``c[1:]`` to within the drop floor and every value of the updated
-    factor provably clears the threshold plus the band, the count is
-    the factor's width. An empty factor needs only the column's norm.
-    Otherwise the step takes the thin SVD of ``w``. A count is taken from
-    it only when no singular value of ``w``, nor the implicit zeros past
-    its width, lies within ``err`` plus the rounding allowance of the
-    threshold; otherwise that one block gets the exact SVD. Values of
-    ``w`` below a floor far under the threshold are dropped from ``c``,
-    and their sum is added to err. Once the band reaches the threshold,
-    the rest of the sweep uses exact SVDs.
+    Each step first tries a batch of rank-stable steps
+    (:func:`_rank_stable_steps`), which needs no SVD. Write column t of
+    the batch, ``a[i+t:, i-1+t]``, as ``c[t+1:] y_t + r_t``. Block i+j,
+    for j < p, is then ``c[j+1:] [q.T, y_0, ..., y_j]`` plus ``[E[j+1:],
+    r_0, ..., r_j]``, each r cut to the block's rows. The first term is
+    ``c[j+1:] L_j Q_j`` with ``L_j L_j^T = I + Y_j Y_j^T`` and ``Q_j``
+    with orthonormal rows, so by Weyl the block's values lie within
+    ``err + sum ||r_t||`` of those of ``c[j+1:] L_j``, and past the
+    factor's width k within that of zero. ``L_j L_j^T`` is at least I,
+    so ``sigma_min(c[j+1:] L_j) >= sigma_min(c[j+1:])``, and deleting
+    rows cannot raise a singular value, so that is at least
+    ``sigma_min(c[p:])``. One shifted Cholesky factorization of
+    ``c[p:]^T c[p:]`` against the whole batch's band therefore certifies
+    all p counts as k, and ``c[p:] L_{p-1}`` is the next factor. err
+    only grows, so the batch's band is the largest of its splits'; k is
+    fixed inside a batch, so the cost switch below is checked at every
+    split it covers before it starts. ``c[p:]`` needs k rows for a
+    nonsingular Gram, which bounds p at the end of the sweep. After an
+    accepted batch the next is up to ``_SWEEP_BATCH`` columns; after an
+    SVD step it is one column, since the rank may still be moving, or
+    none when a failed certificate left the factor no wider.
+
+    An empty factor needs only the column's norm. Otherwise the step
+    takes the thin SVD of ``w``. A count is taken from it only when no
+    singular value of ``w``, nor the implicit zeros past its width, lies
+    within ``err`` plus the rounding allowance of the threshold;
+    otherwise that one block gets the exact SVD. Values of ``w`` below a
+    floor far under the threshold are dropped from ``c``, and their sum
+    is added to err. Once the band reaches the threshold, the rest of
+    the sweep uses exact SVDs.
 
     Rank-k blocks cost O(T k^2) per step. When the kept rank shows that
     the thin SVD costs more than the exact one would, the rest of the
@@ -421,16 +478,22 @@ def _split_ranks(a: np.ndarray, block, tol: float, sigma_ref: float, order: int)
     rounding = _SWEEP_ROUNDING * _EPS * T * sigma_ref
     floor = max(_SWEEP_DROP_FRACTION * threshold, rounding)
     judge_from = min(2 * (order + 1), T // 4)
+
+    def exact_pays(i: int, k: int) -> bool:
+        rows = T - i
+        return i > judge_from and _THIN_SVD_COST * _svd_cost(rows, k + 1) > _svd_cost(rows, i)
+
     ranks = []
     c = np.zeros((T, 0))
     err = 0.0
-    for i in range(1, T):
+    batch = 1
+    i = 1
+    while i < T:
         rows = T - i
         band = err + 2.0 * rounding
         k = c.shape[1]
-        thin_cost = _THIN_SVD_COST * _svd_cost(rows, k + 1)
         # a band reaching the threshold can certify no later count either
-        if band >= threshold or (i > judge_from and thin_cost > _svd_cost(rows, i)):
+        if band >= threshold or exact_pays(i, k):
             ranks.extend(_block_rank(block(j), tol, sigma_ref) for j in range(i, T))
             break
         col = a[i:, i - 1]
@@ -440,11 +503,16 @@ def _split_ranks(a: np.ndarray, block, tol: float, sigma_ref: float, order: int)
             factor = col[:, None]
             charge = float(s[0]) * _gamma(rows + 4)
         else:
-            step = _rank_stable_step(c[1:], col, threshold, err, rounding, floor)
-            if step is not None:
-                c, step_err = step
+            p = 0
+            while p < min(batch, rows + 1 - k) and not exact_pays(i + p, k):
+                p += 1
+            step = p and _rank_stable_steps(c, a[i:, i - 1:i - 1 + p], threshold, err, rounding, floor)
+            if step:
+                c, step_err, done = step
                 err += step_err
-                ranks.append(k)
+                ranks.extend([k] * done)
+                i += done
+                batch = _SWEEP_BATCH
                 continue
             u, s, _ = np.linalg.svd(np.column_stack((c[1:], col)), full_matrices=False)
             factor = u * s
@@ -455,7 +523,13 @@ def _split_ranks(a: np.ndarray, block, tol: float, sigma_ref: float, order: int)
             ranks.append(_rank_against(s, tol, sigma_ref))
         keep = s > floor
         err += float(s[~keep].sum()) + charge
+        # a failed certificate that left the factor no wider means one
+        # direction replaced another, which tends to go on: the next split
+        # skips its certificate. A rank still growing may stop at the next
+        # split, so that one tries.
+        batch = 0 if k and p and keep.sum() <= k else 1
         c = factor[:, keep]
+        i += 1
     return ranks
 
 
@@ -482,20 +556,21 @@ def check_structure(
     factor of the current block, so a step costs at most an SVD of a
     (T - i) x (k + 1) matrix, k being the block's kept rank, and a
     rank-k mixer costs O(T^2 k^2) instead of the O(T^4) of 2(T - 1)
-    full block SVDs. Most steps need no SVD at all: when the new column
-    lies in the factor's range to within a floor far below the
-    threshold, it is folded into the factor by a rank-one update, and a
-    shifted Cholesky factorization of the factor's Gram matrix proves
-    that all k values clear the threshold, so the rank stays k. An
-    empty factor needs only the column's norm. Thin SVDs remain where a
-    block's rank changes or a value comes near the threshold. Each
-    count is certified: residuals and dropped singular values, with
-    eps-scale rounding allowances, bound how far the factor's singular
-    values can sit from the block's, and a block with a value inside
-    that band of ``tol`` times the reference scale is recounted with an
-    exact SVD. A side whose kept rank grows so large that the thin SVDs
-    cost more than exact ones finishes with exact SVDs. The report is
-    the one exact block SVDs give.
+    full block SVDs. Most steps need no SVD at all: while the new
+    columns lie in the factor's range to within a floor far below the
+    threshold, up to ``_SWEEP_BATCH`` of them are folded into the
+    factor at once, and one shifted Cholesky factorization of a Gram
+    matrix proves that all k values clear the threshold in every block
+    they reach, so the rank stays k. An empty factor needs only the
+    column's norm. Thin SVDs remain where a block's rank changes or a
+    value comes near the threshold. Each count is certified: residuals
+    and dropped singular values, with eps-scale rounding allowances,
+    bound how far the factor's singular values can sit from the
+    block's, and a block with a value inside that band of ``tol`` times
+    the reference scale is recounted with an exact SVD. A side whose
+    kept rank grows so large that the thin SVDs cost more than exact
+    ones finishes with exact SVDs. The report is the one exact block
+    SVDs give.
 
     Block ranks depend only on the matrix and ``tol``, so both sides'
     ranks are kept on the mixer per ``tol``: a second check at the same

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .mixer_core import _is_int
+
 __all__ = ["make_rng", "derive_seed"]
 
 
@@ -22,12 +24,7 @@ def make_rng(seed: int, *stream: int) -> np.random.Generator:
     ``make_rng(seed)`` is the root stream; ``make_rng(seed, k, ...)``
     yields independent substreams for the same seed.
     """
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise TypeError(f"seed must be an int, got {type(seed).__name__}")
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=tuple(stream))
-    return np.random.Generator(np.random.Philox(ss))
+    return np.random.Generator(np.random.Philox(_seed_sequence(seed, stream)))
 
 
 def derive_seed(seed: int, *stream: int) -> int:
@@ -37,9 +34,12 @@ def derive_seed(seed: int, *stream: int) -> int:
     but the caller owns one root seed and needs reproducible per-item
     children.
     """
-    if not isinstance(seed, int) or isinstance(seed, bool):
+    return int(_seed_sequence(seed, stream).generate_state(1, np.uint64)[0])
+
+
+def _seed_sequence(seed: int, stream: tuple) -> np.random.SeedSequence:
+    if not _is_int(seed):
         raise TypeError(f"seed must be an int, got {type(seed).__name__}")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=tuple(stream))
-    return int(ss.generate_state(1, np.uint64)[0])
+    return np.random.SeedSequence(entropy=seed, spawn_key=tuple(stream))

@@ -57,6 +57,7 @@ from .mixer_core import (
     NumericRangeError,
     ShapeError,
     _as_float_array,
+    _is_int,
     _is_real,
     _reduce_through_init,
 )
@@ -287,7 +288,7 @@ def segment_product(a, i: int, j: int) -> float:
     a = _as_float_array(a, "a", 1)
     T = a.shape[0]
     for name, idx in (("i", i), ("j", j)):
-        if not isinstance(idx, int) or isinstance(idx, bool):
+        if not _is_int(idx):
             raise TypeError(f"{name} must be an int, got {type(idx).__name__}")
         if not 0 <= idx < T:
             raise IndexError(f"{name}={idx} out of range for length {T}")

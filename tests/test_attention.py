@@ -283,6 +283,22 @@ class TestRope:
         with pytest.raises(ValueError):
             RopeConfig(d_head=3)
 
+    @pytest.mark.parametrize(
+        "base",
+        [True, np.True_, 10**400, 0, -2.0, float("inf"), float("nan"), "1e4"],
+        ids=["True", "np.True_", "10**400", "0", "-2.0", "inf", "nan", "str"],
+    )
+    def test_base_must_be_a_positive_finite_real(self, base):
+        """A bool is not a base, and an int too large for a float is not
+        finite: both get the same ValueError as any other bad base."""
+        with pytest.raises(ValueError, match="base must be a positive finite number"):
+            RopeConfig(64, base=base)
+
+    def test_numpy_scalar_base_accepted(self):
+        x = np.random.default_rng(23).standard_normal((5, 4))
+        for base in (np.float32(1e4), np.int64(10000), 10000):
+            np.testing.assert_array_equal(apply_rope(x, RopeConfig(4, base=base)), apply_rope(x, RopeConfig(4)))
+
 
 class TestMultiHeadAttention:
     def test_single_head_identity_projections_reduce_to_softmax(self):

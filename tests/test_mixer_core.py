@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -440,6 +441,19 @@ class TestCheckStructure:
                 check_structure(mixer, tol=tol)
 
 
+@pytest.mark.parametrize("value, expected", [
+    (3, True), (-2, True), (10**400, True), (True, False), (np.True_, False),
+    (np.int64(3), False), (3.0, False), ("3", False), (None, False),
+])
+def test_is_int_takes_python_ints_only(value, expected):
+    """The integer rule every int-valued argument shares: a Python int,
+    never a bool; numpy integers and floats are refused."""
+    assert mixer_core._is_int(value) is expected
+    if value is not None and not expected:
+        with pytest.raises(ValueError, match=re.escape(f"order, got {value!r}")):
+            MixerClass.quasiseparable(value)
+
+
 class TestCompressedSweep:
     """check_structure against the brute-force sweep: reports compare ==,
     violations included, in the same (lower, upper)-per-split order."""
@@ -563,61 +577,144 @@ class TestCompressedSweep:
         assert not report.ok
 
     def test_rank_stable_step_keeps_its_bounds(self):
-        """An accepted rank-stable step keeps what the sweep's counts rest
-        on: the new column was within the drop floor of the factor's range,
-        the singular values of [c, col] lie within step_err of the new
-        factor's (and of zero past its width), and every value of the new
-        factor clears threshold + band. The factor's smallest value sits
-        a few floors from the threshold plus err, and the residual is up to
-        two floors, so both outcomes occur near each limit."""
-        rng = np.random.default_rng(5)
-        accepted = []
-        for _ in range(400):
-            k = int(rng.integers(1, 8))
-            rows = k + int(rng.integers(1, 60))
-            threshold = 10.0 ** rng.uniform(-8, 0)
-            floor = threshold * 10.0 ** -rng.uniform(0.5, 4)
-            err = threshold * rng.uniform(0, 0.5)
-            rounding = threshold * 1e-6
-            smallest = threshold + err + rounding + floor * rng.uniform(-1, 5)
-            values = smallest * np.logspace(rng.uniform(0, 6), 0, k)
-            u, _ = np.linalg.qr(rng.standard_normal((rows, k)))
-            v, _ = np.linalg.qr(rng.standard_normal((k, k)))
-            c = (u * values) @ v.T
-            off = rng.standard_normal(rows)
-            off -= u @ (u.T @ off)
-            off *= floor * rng.uniform(0, 2) / np.linalg.norm(off)
-            col = c @ rng.standard_normal(k) + off
-            step = mixer_core._rank_stable_step(c, col, threshold, err, rounding, floor)
-            accepted.append(step is not None)
-            if step is None:
-                continue
-            new_c, step_err = step
-            wide = np.linalg.svd(np.column_stack((c, col)), compute_uv=False)
-            thin = np.linalg.svd(new_c, compute_uv=False)
-            assert wide[k] <= floor * (1 + 1e-6)
-            assert np.all(np.abs(wide[:k] - thin) <= step_err) and wide[k] <= step_err
-            assert thin[-1] > threshold + err + step_err + rounding
-        assert 50 < sum(accepted) < 350
+        """An accepted batch of q rank-stable steps, out of p = 1, 2, 5 or
+        16 columns, keeps what the sweep's counts rest on, for every block
+        j < q it covers: column t was within the drop floor of the range
+        of c[t+1:]; the singular values of [c[j+1:], cols] lie within
+        step_err of those of the certified factor c[j+1:] L_j (and of
+        zero past its width), whose values all clear threshold + band;
+        and the new factor's values lie within step_err of the last
+        block's and clear threshold + band too. Entries above each
+        column's first row belong to other blocks and must not count.
+
+        Half the cases put one column's residual a little below or above
+        the floor, which decides where the batch stops. The other half
+        put the smallest value of c[p:] a little below or above the
+        threshold plus err, which decides whether the certificate
+        passes; there the top rows of c are sometimes large, so that
+        c[1:] would pass where c[p:] fails. So both outcomes occur near
+        each limit."""
+        for p in (1, 2, 5, 16):
+            rng = np.random.default_rng(5 + p)
+            outcomes = {"residual": [], "certificate": []}
+            for case in range(400):
+                limit = "residual" if case % 2 else "certificate"
+                k = int(rng.integers(1, 8))
+                rows = p + k + 1 + int(rng.integers(0, 60))
+                threshold = 10.0 ** rng.uniform(-8, 0)
+                floor = threshold * 10.0 ** -rng.uniform(0.5, 4)
+                err = threshold * rng.uniform(0, 0.5)
+                rounding = threshold * 1e-6
+                residuals = floor * rng.uniform(0, 1e-5, p)
+                if limit == "residual":
+                    smallest = 2.0 * (threshold + err + rounding + p * floor)
+                    stop = int(rng.integers(p))
+                    residuals[stop] = floor * rng.choice([rng.uniform(0.5, 0.95), rng.uniform(1.05, 1.5)])
+                else:
+                    smallest = (threshold + err + rounding) * (1 + rng.uniform(-1e-3, 1e-3))
+                values = smallest * np.logspace(rng.uniform(0, 6), 0, k)
+                u, _ = np.linalg.qr(rng.standard_normal((rows - p, k)))
+                v, _ = np.linalg.qr(rng.standard_normal((k, k)))
+                heavy = rng.uniform(0.5, 2) if rng.random() < 0.5 else 1e-3
+                top = rng.standard_normal((p, k)) * values[0] * heavy
+                c = np.vstack((top, (u * values) @ v.T))
+                cols = rng.standard_normal((rows - 1, p)) * values[0]  # the masked rows keep this
+                for t in range(p):
+                    below = c[t + 1:]
+                    basis, _ = np.linalg.qr(below)
+                    off = rng.standard_normal(rows - 1 - t)
+                    off -= basis @ (basis.T @ off)
+                    off *= residuals[t] / np.linalg.norm(off)
+                    cols[t:, t] = below @ (rng.standard_normal(k) * 10.0 ** rng.uniform(-5, -3)) + off
+                step = mixer_core._rank_stable_steps(c, cols, threshold, err, rounding, floor)
+                outcomes[limit].append(0 if step is None else step[2])
+                if limit == "residual":
+                    assert outcomes[limit][-1] == (p if residuals[stop] < floor else stop)
+                if step is None:
+                    continue
+                new_c, step_err, q = step
+                masked = cols.copy()
+                masked[np.triu_indices(min(p, rows - 1), 1)] = 0.0
+                assert mixer_core._rank_stable_steps(c, masked, threshold, err, rounding, floor)[2] == q
+                ys = [np.linalg.lstsq(c[t + 1:], cols[t:, t], rcond=None)[0] for t in range(q)]
+                for t, y in enumerate(ys):
+                    assert np.linalg.norm(cols[t:, t] - c[t + 1:] @ y) <= floor * (1 + 1e-6)
+                for j in range(q):
+                    wide = np.linalg.svd(np.column_stack((c[j + 1:], cols[j:, : j + 1])), compute_uv=False)
+                    spread = np.eye(k) + np.dot(np.array(ys[: j + 1]).T, ys[: j + 1])
+                    certified = np.linalg.svd(c[j + 1:] @ np.linalg.cholesky(spread), compute_uv=False)
+                    assert np.all(np.abs(wide[:k] - certified) <= step_err) and np.all(wide[k:] <= step_err)
+                    assert certified[-1] > threshold + err + step_err + rounding
+                thin = np.linalg.svd(new_c, compute_uv=False)
+                assert new_c.shape == (rows - q, k)
+                assert np.all(np.abs(wide[:k] - thin) <= step_err)
+                assert thin[-1] > threshold + err + step_err + rounding
+            for limit, done in outcomes.items():
+                full = sum(q == p for q in done)
+                assert 50 < full < 150, (p, limit, full)
+            if p > 1:
+                assert sum(0 < q < p for q in outcomes["residual"]) > 20
+                assert sum(0 < q < p for q in outcomes["certificate"]) > 5
 
     def test_sweep_charges_every_step(self, monkeypatch):
-        """The error bound handed to each rank-stable step includes the
-        step_err of the step before it, so the residuals the sweep drops
-        add up in the band."""
+        """The error bound handed to each batch of rank-stable steps
+        includes the step_err of the batch before it, so the residuals
+        the sweep drops add up in the band."""
         calls = []
-        step = mixer_core._rank_stable_step
+        step = mixer_core._rank_stable_steps
 
-        def recorded(c, col, threshold, err, rounding, floor):
-            out = step(c, col, threshold, err, rounding, floor)
-            calls.append((c.shape[0], err, None if out is None else out[1]))
+        def recorded(c, cols, threshold, err, rounding, floor):
+            out = step(c, cols, threshold, err, rounding, floor)
+            calls.append((c.shape[0], err, None if out is None else out[1:]))
             return out
 
-        monkeypatch.setattr(mixer_core, "_rank_stable_step", recorded)
-        assert check_structure(seeded_scan_mixers(9, 64, 4)["hydra"]).ok
-        chained = [(a, b) for a, b in zip(calls, calls[1:]) if a[2] is not None and b[0] == a[0] - 1]
+        monkeypatch.setattr(mixer_core, "_rank_stable_steps", recorded)
+        assert check_structure(seeded_scan_mixers(9, 512, 4)["hydra"]).ok
+        chained = [(a, b) for a, b in zip(calls, calls[1:])
+                   if a[2] is not None and b[0] == a[0] - a[2][1]]
         assert len(chained) > 50
-        for (_, err, step_err), (_, next_err, _) in chained:
+        assert sum(a[2][1] == mixer_core._SWEEP_BATCH for a, _ in chained) > 50
+        for (_, err, (step_err, _)), (_, next_err, _) in chained:
             assert step_err > 0 and next_err >= err + step_err
+
+    def test_fast_decays_take_every_path(self, monkeypatch):
+        """Decays in [0.2, 0.6] put most of a block's energy in its top
+        rows, so dropping rows from the factor can fail a certificate
+        that fewer rows pass. Reports still equal the brute-force sweep,
+        and batched acceptances, single-column acceptances and thin-SVD
+        steps all occur."""
+        folded, thin_svds = [], []
+        step, svd = mixer_core._rank_stable_steps, np.linalg.svd
+
+        def recorded(*args):
+            out = step(*args)
+            folded.append(0 if out is None else out[2])
+            return out
+
+        def counted(a, *args, **kwargs):
+            thin_svds.append(kwargs.get("full_matrices", True) is False)
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(mixer_core, "_rank_stable_steps", recorded)
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        rng = np.random.default_rng(602)
+        for _ in range(24):
+            T, N = int(rng.integers(20, 121)), int(rng.integers(1, 9))
+            tol = 10.0 ** -rng.uniform(3, 10)
+
+            def scan():
+                return ScanParams(a=rng.uniform(0.2, 0.6, T), b=rng.standard_normal((T, N)),
+                                  c=rng.standard_normal((T, N)))
+
+            for m in (ssm_mixer(scan()).m, bimamba_mixer(BiMambaParams(scan(), scan())).m,
+                      hydra_mixer(HydraParams(scan(), scan(), rng.standard_normal(T))).m):
+                mixer = MatrixMixer(m, MixerClass.dense())
+                for tag in (MixerClass.quasiseparable(N), MixerClass.semiseparable(1)):
+                    report = check_structure(mixer, tol=tol, class_tag=tag)
+                    assert report == oracle_structure_report(m, tag, tol), (T, N, tol, tag)
+        assert sum(q > 1 for q in folded) > 20
+        assert sum(q == 1 for q in folded) > 20
+        assert sum(thin_svds) > 20
 
     def test_svds_only_where_block_rank_changes(self, svd_calls):
         """At T=320 a rank-N scan mixer takes a thin SVD only while its
