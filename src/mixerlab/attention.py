@@ -20,8 +20,9 @@ with unit row sums.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -54,8 +55,9 @@ __all__ = [
     "multi_head_attention",
 ]
 
-# rows per block when streaming the T x T logits; bounds scratch memory
-# without changing results (each output row is computed independently)
+# rows per block when streaming the T x T logits; bounds scratch memory.
+# BLAS rounding depends on the row partition, so another size can move
+# the last bits of results.
 _SOFTMAX_CHUNK = 512
 
 _ORTHO_TOL = 1e-10
@@ -207,28 +209,41 @@ class MhaWeights:
         return self.wq.shape[0]
 
 
-def _row_softmax(logits: np.ndarray) -> np.ndarray:
+def _row_softmax(b: np.ndarray, col: Optional[np.ndarray] = None) -> np.ndarray:
+    """Replace each row of ``b`` by its softmax, in place, and return ``b``.
+
+    ``col`` is optional (rows, 1) scratch for the row max and row sum.
+    """
     # row-max shift keeps exp in range; exact for any finite logits
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    np.exp(shifted, out=shifted)
-    shifted /= shifted.sum(axis=1, keepdims=True)
-    return shifted
+    col = np.max(b, axis=1, keepdims=True, out=col)
+    np.subtract(b, col, out=b)
+    np.exp(b, out=b)
+    np.divide(b, np.sum(b, axis=1, keepdims=True, out=col), out=b)
+    return b
 
 
 def softmax_attention(qkv: QkvTriple) -> FeatureSequence:
     """Full softmax attention: ``row_softmax(q @ k.T) @ v``.
 
     Logits are unscaled inner products (see module docstring). The T x T
-    matrix is streamed in row blocks, so peak scratch memory is
-    O(chunk * T) while the result is identical to the one-shot form.
+    matrix is streamed in row blocks through one reused buffer, so peak
+    scratch memory is O(chunk * T). The result agrees with the one-shot
+    form to within rounding (BLAS rounding depends on the row partition)
+    and is deterministic for equal inputs.
     """
     q, k, v = qkv.q, qkv.k, qkv.v
     T = qkv.T
     kt = np.ascontiguousarray(k.T)
     out = np.empty_like(v)
+    rows = min(_SOFTMAX_CHUNK, T)
+    buf = np.empty((rows, T))
+    col = np.empty((rows, 1))
     for lo in range(0, T, _SOFTMAX_CHUNK):
         hi = min(lo + _SOFTMAX_CHUNK, T)
-        out[lo:hi] = _row_softmax(q[lo:hi] @ kt) @ v
+        n = hi - lo
+        np.matmul(q[lo:hi], kt, out=buf[:n])
+        _row_softmax(buf[:n], col[:n])
+        np.matmul(buf[:n], v, out=out[lo:hi])
     return FeatureSequence(out)
 
 
@@ -344,6 +359,18 @@ def favor_mixer(q, k, omega: OrthogonalFeatureMatrix) -> MatrixMixer:
     return MatrixMixer((fq @ fk.T) / den[:, None], MixerClass.low_rank(omega.r))
 
 
+@functools.lru_cache(maxsize=4)
+def _rope_tables(T: int, d: int, base: float) -> Tuple[np.ndarray, np.ndarray]:
+    # read-only: every caller of apply_rope shares these arrays; at most
+    # four entries of 8 * T * d bytes (~33 MB at T=65536, d=64)
+    inv_freq = base ** (-2.0 * np.arange(d // 2) / d)
+    angles = np.arange(T)[:, None] * inv_freq[None, :]
+    cos, sin = np.cos(angles), np.sin(angles)
+    cos.flags.writeable = False
+    sin.flags.writeable = False
+    return cos, sin
+
+
 def apply_rope(x, config: RopeConfig) -> np.ndarray:
     """Rotate each row of ``x`` by its position's rotary angles.
 
@@ -356,14 +383,45 @@ def apply_rope(x, config: RopeConfig) -> np.ndarray:
     if x.shape[1] != config.d_head:
         raise ShapeError(f"x has width {x.shape[1]}, config expects {config.d_head}")
     T, d = x.shape
-    inv_freq = float(config.base) ** (-2.0 * np.arange(d // 2) / d)
-    angles = np.arange(T)[:, None] * inv_freq[None, :]
-    cos, sin = np.cos(angles), np.sin(angles)
+    cos, sin = _rope_tables(T, d, float(config.base))
     even, odd = x[:, 0::2], x[:, 1::2]
     out = np.empty_like(x)
     out[:, 0::2] = cos * even - sin * odd
     out[:, 1::2] = sin * even + cos * odd
     return out
+
+
+def _check_attention_args(kind, weights, config, rope, omegas):
+    """Check that the parts of an attention mixer fit together.
+
+    Returns ``omegas`` as a tuple (None unless ``kind == "favor"``).
+    """
+    if kind not in ("softmax", "favor"):
+        raise ValueError(f"kind must be 'softmax' or 'favor', got {kind!r}")
+    if weights.d_model != config.d_model:
+        raise ShapeError(
+            f"weights are for d_model={weights.d_model}, config says {config.d_model}"
+        )
+    if rope is not None and rope.d_head != config.d_head:
+        raise ShapeError(
+            f"rope is for d_head={rope.d_head}, config has d_head={config.d_head}"
+        )
+    if kind != "favor":
+        if omegas is not None:
+            raise ValueError("omegas only apply to kind='favor'")
+        return None
+    omegas = () if omegas is None else tuple(omegas)
+    if len(omegas) != config.num_heads:
+        raise ValueError(
+            f"favor attention needs one feature matrix per head "
+            f"({config.num_heads}), got {len(omegas)}"
+        )
+    for i, om in enumerate(omegas):
+        if om.d_head != config.d_head:
+            raise ShapeError(
+                f"omegas[{i}] is for d_head={om.d_head}, expected {config.d_head}"
+            )
+    return omegas
 
 
 def multi_head_attention(
@@ -383,31 +441,9 @@ def multi_head_attention(
     one feature matrix per head and is required exactly when
     ``kind == "favor"``.
     """
-    if kind not in ("softmax", "favor"):
-        raise ValueError(f"kind must be 'softmax' or 'favor', got {kind!r}")
-    if weights.d_model != config.d_model:
-        raise ShapeError(
-            f"weights are for d_model={weights.d_model}, config says {config.d_model}"
-        )
+    omegas = _check_attention_args(kind, weights, config, rope, omegas)
     if x.d != config.d_model:
         raise ShapeError(f"sequence width {x.d} != d_model {config.d_model}")
-    if rope is not None and rope.d_head != config.d_head:
-        raise ShapeError(
-            f"rope is for d_head={rope.d_head}, config has d_head={config.d_head}"
-        )
-    if kind == "favor":
-        if omegas is None or len(omegas) != config.num_heads:
-            raise ValueError(
-                f"favor attention needs one feature matrix per head "
-                f"({config.num_heads}), got {0 if omegas is None else len(omegas)}"
-            )
-        for i, om in enumerate(omegas):
-            if om.d_head != config.d_head:
-                raise ShapeError(
-                    f"omegas[{i}] is for d_head={om.d_head}, expected {config.d_head}"
-                )
-    elif omegas is not None:
-        raise ValueError("omegas only apply to kind='favor'")
 
     big_q = x.data @ weights.wq
     big_k = x.data @ weights.wk

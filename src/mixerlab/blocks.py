@@ -44,6 +44,7 @@ from .attention import (
     MultiHeadConfig,
     OrthogonalFeatureMatrix,
     RopeConfig,
+    _check_attention_args,
     draw_orthogonal_features,
     multi_head_attention,
 )
@@ -93,7 +94,14 @@ MIXER_KINDS = ("hydra", "bimamba", "favor", "softmax")
 def silu(x):
     """Sigmoid-weighted linear unit, x * sigmoid(x), overflow-free."""
     x = np.asarray(x, dtype=np.float64)
-    return x * (0.5 * (1.0 + np.tanh(0.5 * x)))
+    # one fresh array, updated in place; an explicit ``out`` keeps a 0-d
+    # input an array, where ``0.5 * x`` would give a numpy scalar
+    t = np.multiply(0.5, x, out=np.empty_like(x))
+    np.tanh(t, out=t)
+    t += 1.0
+    t *= 0.5
+    t *= x
+    return t if t.ndim else t[()]
 
 
 @dataclass(frozen=True)
@@ -134,7 +142,11 @@ def ffw_apply(x: FeatureSequence, w: FfwWeights) -> FeatureSequence:
     """Per-frame map ``silu(x @ w1 + b1) @ w2 + b2``."""
     if x.d != w.d:
         raise ShapeError(f"sequence width {x.d} != ffw width {w.d}")
-    return FeatureSequence(silu(x.data @ w.w1 + w.b1) @ w.w2 + w.b2)
+    h = x.data @ w.w1
+    h += w.b1
+    out = silu(h) @ w.w2
+    out += w.b2
+    return FeatureSequence(out)
 
 
 @dataclass(frozen=True)
@@ -238,32 +250,10 @@ class AttentionMixerConfig:
     omegas: Optional[Tuple[OrthogonalFeatureMatrix, ...]] = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("softmax", "favor"):
-            raise ValueError(f"kind must be 'softmax' or 'favor', got {self.kind!r}")
-        if self.weights.d_model != self.head_config.d_model:
-            raise ShapeError(
-                f"weights d_model {self.weights.d_model} != config {self.head_config.d_model}"
-            )
-        if self.rope is not None and self.rope.d_head != self.head_config.d_head:
-            raise ShapeError(
-                f"rope d_head {self.rope.d_head} != head d_head {self.head_config.d_head}"
-            )
-        if self.kind == "favor":
-            if self.omegas is None:
-                raise ValueError("favor mixers need one feature matrix per head")
-            omegas = tuple(self.omegas)
-            if len(omegas) != self.head_config.num_heads:
-                raise ValueError(
-                    f"expected {self.head_config.num_heads} feature matrices, got {len(omegas)}"
-                )
-            for i, om in enumerate(omegas):
-                if om.d_head != self.head_config.d_head:
-                    raise ShapeError(
-                        f"omegas[{i}] d_head {om.d_head} != {self.head_config.d_head}"
-                    )
-            object.__setattr__(self, "omegas", omegas)
-        elif self.omegas is not None:
-            raise ValueError("omegas only apply to kind='favor'")
+        omegas = _check_attention_args(
+            self.kind, self.weights, self.head_config, self.rope, self.omegas
+        )
+        object.__setattr__(self, "omegas", omegas)
 
     @property
     def d(self) -> int:

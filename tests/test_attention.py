@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mixerlab import (
+    AttentionMixerConfig,
     FeatureSequence,
     MhaWeights,
     MultiHeadConfig,
@@ -11,6 +12,7 @@ from mixerlab import (
     OrthogonalFeatureMatrix,
     QkvTriple,
     RopeConfig,
+    ShapeError,
     apply_mixer,
     apply_rope,
     draw_orthogonal_features,
@@ -22,6 +24,39 @@ from mixerlab import (
     softmax_attention,
     softmax_mixer,
 )
+from mixerlab.attention import _rope_tables
+
+
+def _softmax_rows_reference(logits):
+    """Row softmax in its earlier expression form, on a fresh copy."""
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    np.exp(shifted, out=shifted)
+    shifted /= shifted.sum(axis=1, keepdims=True)
+    return shifted
+
+
+def _softmax_attention_reference(q, k, v, chunk=512):
+    """softmax_attention in its earlier form: fresh logits and weights per
+    block of ``chunk`` rows, the same GEMM shapes and row partition."""
+    kt = np.ascontiguousarray(k.T)
+    out = np.empty_like(v)
+    for lo in range(0, q.shape[0], chunk):
+        hi = min(lo + chunk, q.shape[0])
+        out[lo:hi] = _softmax_rows_reference(q[lo:hi] @ kt) @ v
+    return out
+
+
+def _rope_reference(x, base):
+    """apply_rope in its earlier form, computing the tables on each call."""
+    T, d = x.shape
+    inv_freq = float(base) ** (-2.0 * np.arange(d // 2) / d)
+    angles = np.arange(T)[:, None] * inv_freq[None, :]
+    cos, sin = np.cos(angles), np.sin(angles)
+    even, odd = x[:, 0::2], x[:, 1::2]
+    out = np.empty_like(x)
+    out[:, 0::2] = cos * even - sin * odd
+    out[:, 1::2] = sin * even + cos * odd
+    return out
 
 
 class TestSoftmaxAttention:
@@ -78,6 +113,26 @@ class TestSoftmaxAttention:
         w = np.exp(logits - logits.max(axis=1, keepdims=True))
         w /= w.sum(axis=1, keepdims=True)
         np.testing.assert_allclose(y.data, w @ v, atol=1e-12)
+
+    @pytest.mark.parametrize("T", [1, 3, 512, 513, 1100])
+    def test_bit_identical_to_fresh_buffer_form(self, T):
+        """The reused buffer changes where results are written, not what is
+        computed. T=513 leaves a one-row tail block."""
+        rng = np.random.default_rng(T)
+        q, k, v = (rng.standard_normal((T, 64)) * 0.3 for _ in range(3))
+        y = softmax_attention(QkvTriple(q, k, v))
+        assert np.array_equal(y.data, _softmax_attention_reference(q, k, v))
+        assert np.array_equal(softmax_mixer(q, k).m, _softmax_rows_reference(q @ k.T))
+
+    def test_overflowing_logits_raise(self):
+        """Finite inputs whose logits overflow give non-finite weights,
+        which raise rather than being clamped."""
+        q = np.full((600, 2), 1e200)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericRangeError):
+                softmax_attention(QkvTriple(q, q, np.ones((600, 2))))
+            with pytest.raises(NumericRangeError):
+                softmax_mixer(q[:3], q[:3])
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -298,6 +353,90 @@ class TestRope:
         x = np.random.default_rng(23).standard_normal((5, 4))
         for base in (np.float32(1e4), np.int64(10000), 10000):
             np.testing.assert_array_equal(apply_rope(x, RopeConfig(4, base=base)), apply_rope(x, RopeConfig(4)))
+
+
+    @pytest.mark.parametrize("T", [7, 2048])
+    @pytest.mark.parametrize("base", [10000.0, 500.0])
+    def test_bit_identical_to_uncached_tables(self, T, base):
+        x = np.random.default_rng(24).standard_normal((T, 64))
+        for _ in range(2):
+            assert np.array_equal(apply_rope(x, RopeConfig(64, base=base)), _rope_reference(x, base))
+
+    def test_cached_tables_are_read_only(self):
+        cos, sin = _rope_tables(9, 4, 10000.0)
+        for table in (cos, sin):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0, 0] = 1.0
+
+    def test_output_is_a_private_writeable_array(self):
+        """Mutating one output must not reach the tables or the next call."""
+        x = np.random.default_rng(25).standard_normal((9, 4))
+        cfg = RopeConfig(4)
+        out = apply_rope(x, cfg)
+        first = out.copy()
+        assert out.flags.writeable
+        assert not any(np.shares_memory(out, t) for t in _rope_tables(9, 4, 10000.0))
+        out[:] = 7.0
+        assert np.array_equal(apply_rope(x, cfg), first)
+
+    def test_table_cache_is_bounded(self):
+        """One entry holds 8 * T * d_head bytes, ~33 MB at T=65536, d_head=64."""
+        maxsize = _rope_tables.cache_info().maxsize
+        assert maxsize is not None and maxsize <= 8
+        for T in range(1, maxsize + 4):
+            apply_rope(np.ones((T, 4)), RopeConfig(4))
+        assert _rope_tables.cache_info().currsize <= maxsize
+
+
+def _attention_parts(**overrides):
+    """Valid parts of a favor attention mixer (d_model 4, two heads of 2),
+    with any of them replaced."""
+    rng = np.random.default_rng(34)
+    parts = dict(
+        kind="favor",
+        weights=MhaWeights(*(rng.standard_normal((4, 4)) for _ in range(4))),
+        config=MultiHeadConfig(d_model=4, num_heads=2),
+        rope=RopeConfig(d_head=2),
+        omegas=[draw_orthogonal_features(2, 4, s) for s in range(2)],
+    )
+    parts.update(overrides)
+    return parts
+
+
+class TestAttentionArguments:
+    @pytest.mark.parametrize(
+        "overrides, error",
+        [
+            ({"kind": "linear"}, ValueError),
+            ({"weights": MhaWeights(*(np.eye(6) for _ in range(4)))}, ShapeError),
+            ({"rope": RopeConfig(d_head=4)}, ShapeError),
+            ({"omegas": None}, ValueError),
+            ({"omegas": [draw_orthogonal_features(2, 4, 0)]}, ValueError),
+            ({"omegas": [draw_orthogonal_features(4, 4, s) for s in range(2)]}, ShapeError),
+            ({"kind": "softmax"}, ValueError),
+        ],
+        ids=["kind", "d_model", "rope", "no-omegas", "omega-count", "omega-width", "stray-omegas"],
+    )
+    def test_config_and_call_reject_alike(self, overrides, error):
+        """AttentionMixerConfig and multi_head_attention share one check,
+        so each bad part raises the same exception type from both."""
+        p = _attention_parts(**overrides)
+        with pytest.raises(error) as from_config:
+            AttentionMixerConfig(p["kind"], p["weights"], p["config"], p["rope"], p["omegas"])
+        x = FeatureSequence(np.ones((3, 4)))
+        with pytest.raises(error) as from_call:
+            multi_head_attention(x, p["weights"], p["config"], p["kind"], p["rope"], p["omegas"])
+        assert type(from_config.value) is type(from_call.value) is error
+
+    def test_valid_parts_accepted(self):
+        p = _attention_parts(omegas=iter(_attention_parts()["omegas"]))
+        mc = AttentionMixerConfig(p["kind"], p["weights"], p["config"], p["rope"], p["omegas"])
+        assert isinstance(mc.omegas, tuple) and len(mc.omegas) == 2
+        y = multi_head_attention(FeatureSequence(np.ones((3, 4))), mc.weights, mc.head_config,
+                                 mc.kind, mc.rope, mc.omegas)
+        assert y.data.shape == (3, 4)
+        assert AttentionMixerConfig("softmax", p["weights"], p["config"]).omegas is None
 
 
 class TestMultiHeadAttention:

@@ -30,7 +30,38 @@ from mixerlab import (
 )
 
 
+def _silu_reference(x):
+    """silu in its earlier expression form, one temporary per operation."""
+    x = np.asarray(x, dtype=np.float64)
+    return x * (0.5 * (1.0 + np.tanh(0.5 * x)))
+
+
 class TestSilu:
+    @pytest.mark.parametrize(
+        "x",
+        [
+            np.random.default_rng(5).standard_normal((64, 1024)) * 5.0,
+            np.linspace(-40.0, 40.0, 33).reshape(3, 11)[:, ::2],
+            np.array(-1.5),
+            0.75,
+            -3,
+        ],
+        ids=["2-d", "strided", "0-d", "float", "int"],
+    )
+    def test_bit_identical_to_expression_form(self, x):
+        """In-place updates on one fresh array: same operations, same
+        order, same bits and return type; the input is left alone."""
+        before = np.array(x, copy=True)
+        got, want = silu(x), _silu_reference(x)
+        assert type(got) is type(want)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.asarray(x), before)
+
+    def test_read_only_input_accepted(self):
+        x = np.linspace(-2.0, 2.0, 5)
+        x.flags.writeable = False
+        assert np.array_equal(silu(x), _silu_reference(x))
+
     def test_fixed_points(self):
         assert silu(np.array(0.0)) == 0.0
         np.testing.assert_allclose(silu(np.array(30.0)), 30.0, atol=1e-10)
@@ -93,6 +124,19 @@ class TestFfwApply:
                     acc += hidden[u] * w.w2[u, o]
                 out[o] = acc
             np.testing.assert_allclose(y.data[t], out, atol=1e-11)
+
+    def test_bit_identical_to_expression_form(self):
+        rng = np.random.default_rng(6)
+        d, h, T = 32, 128, 100
+        w = FfwWeights(
+            w1=rng.standard_normal((d, h)) * 0.2,
+            b1=rng.standard_normal(h),
+            w2=rng.standard_normal((h, d)) * 0.1,
+            b2=rng.standard_normal(d),
+        )
+        x = rng.standard_normal((T, d))
+        want = _silu_reference(x @ w.w1 + w.b1) @ w.w2 + w.b2
+        assert np.array_equal(ffw_apply(FeatureSequence(x), w).data, want)
 
     def test_width_mismatch_rejected(self):
         w = FfwWeights(
