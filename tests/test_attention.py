@@ -28,7 +28,8 @@ from mixerlab.attention import _rope_tables
 
 
 def _softmax_rows_reference(logits):
-    """Row softmax in its earlier expression form, on a fresh copy."""
+    """Row softmax on a fresh copy: the reference the in-place form must
+    match bit for bit."""
     shifted = logits - logits.max(axis=1, keepdims=True)
     np.exp(shifted, out=shifted)
     shifted /= shifted.sum(axis=1, keepdims=True)
@@ -36,8 +37,8 @@ def _softmax_rows_reference(logits):
 
 
 def _softmax_attention_reference(q, k, v, chunk=512):
-    """softmax_attention in its earlier form: fresh logits and weights per
-    block of ``chunk`` rows, the same GEMM shapes and row partition."""
+    """softmax_attention with fresh logits and weights per block of
+    ``chunk`` rows: the same GEMM shapes and row partition, no reused buffer."""
     kt = np.ascontiguousarray(k.T)
     out = np.empty_like(v)
     for lo in range(0, q.shape[0], chunk):
@@ -47,7 +48,7 @@ def _softmax_attention_reference(q, k, v, chunk=512):
 
 
 def _rope_reference(x, base):
-    """apply_rope in its earlier form, computing the tables on each call."""
+    """apply_rope computing its cos/sin tables on each call."""
     T, d = x.shape
     inv_freq = float(base) ** (-2.0 * np.arange(d // 2) / d)
     angles = np.arange(T)[:, None] * inv_freq[None, :]

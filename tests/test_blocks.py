@@ -31,7 +31,7 @@ from mixerlab import (
 
 
 def _silu_reference(x):
-    """silu in its earlier expression form, one temporary per operation."""
+    """silu as one expression, one temporary per operation."""
     x = np.asarray(x, dtype=np.float64)
     return x * (0.5 * (1.0 + np.tanh(0.5 * x)))
 
