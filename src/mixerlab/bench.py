@@ -31,7 +31,7 @@ from .attention import (
     favor_attention,
     softmax_attention,
 )
-from .mixer_core import _is_int
+from .mixer_core import _is_int, _is_real
 from .rng import derive_seed, make_rng
 from .ssm import (
     BiMambaParams,
@@ -85,8 +85,8 @@ class BenchSample:
             v = getattr(self, name)
             if not _is_int(v) or v < lo:
                 raise ValueError(f"{name} must be an integer >= {lo}, got {v!r}")
-        if not (isinstance(self.wall_time, (int, float)) and self.wall_time > 0):
-            raise ValueError(f"wall_time must be positive, got {self.wall_time!r}")
+        if not (_is_real(self.wall_time) and self.wall_time > 0):
+            raise ValueError(f"wall_time must be positive and finite, got {self.wall_time!r}")
 
 
 @dataclass(frozen=True)

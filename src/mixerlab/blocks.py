@@ -25,10 +25,11 @@ named stack shapes are built in: ``latent-denoiser`` (8 blocks, 256
 channels) and ``token-generator`` (12 blocks, 512 channels), both with
 period 4 and kernel size 7 by default.
 
-Weight persistence uses a flat binary container of named
-double-precision tensors: a UTF-8 text manifest (one line per tensor
-with name, shape, and byte offset), a blank line, then the concatenated
-little-endian float64 payload.
+A block is a fixed set of named float64 tensors. :func:`init_stack`
+draws them and :func:`stack_from_tensors` reads them from the flat binary
+container of :func:`save_tensors`; one block builder turns either into
+blocks, and loading refuses a tensor it does not read or a stack that
+does not match its config.
 """
 
 from __future__ import annotations
@@ -75,10 +76,6 @@ __all__ = [
     "validate_stack",
     "stack_forward",
     "with_zeroed_projections",
-    "init_ffw",
-    "init_conv",
-    "init_selective",
-    "init_mixer_config",
     "init_stack",
     "stack_to_tensors",
     "stack_from_tensors",
@@ -108,7 +105,7 @@ def silu(x):
 class FfwWeights:
     """Position-wise feed-forward weights: d -> hidden -> d.
 
-    The conventional hidden width is 4d (what :func:`init_ffw` builds);
+    The conventional hidden width is 4d (what :func:`init_stack` draws);
     any consistent hidden width is accepted.
     """
 
@@ -323,13 +320,26 @@ class HydraMixerConfig:
 MixerConfig = Union[AttentionMixerConfig, BiMambaMixerConfig, HydraMixerConfig]
 
 
+# Tensor names of each block part in container order; all but the norm's
+# are also the fields that hold the tensors. The draw, the block builder
+# and stack_to_tensors spell every name through these.
+_FFW = ("w1", "b1", "w2", "b2")
+_MHA = ("wq", "wk", "wv", "wo")
+_SELECTIVE = ("w_delta", "bias", "w_b", "w_c", "a_log")
+_SCAN_MIXERS = {
+    "hydra": (HydraMixerConfig, ("diag_gain", "out_proj")),
+    "bimamba": (BiMambaMixerConfig, ("out_proj",)),
+}
+_CONV = ("kernel", "bias")
+_NORM = ("scale", "shift")
+
+
 def mixer_kind_of(config: MixerConfig) -> str:
     if isinstance(config, AttentionMixerConfig):
         return config.kind
-    if isinstance(config, HydraMixerConfig):
-        return "hydra"
-    if isinstance(config, BiMambaMixerConfig):
-        return "bimamba"
+    for kind, (config_type, _) in _SCAN_MIXERS.items():
+        if isinstance(config, config_type):
+            return kind
     raise TypeError(f"not a mixer config: {type(config).__name__}")
 
 
@@ -521,73 +531,118 @@ def with_zeroed_projections(block: DcHydraBlock) -> DcHydraBlock:
     )
 
 
-def init_ffw(d: int, rng: np.random.Generator) -> FfwWeights:
-    """Random FFW weights with 4d hidden width, zero biases."""
-    h = 4 * d
-    w1 = rng.standard_normal((d, h)) / np.sqrt(d)
-    w2 = rng.standard_normal((h, d)) / np.sqrt(h)
-    return FfwWeights(w1, np.zeros(h), w2, np.zeros(d))
+def _omega_names(num_heads: int) -> Tuple[str, ...]:
+    return tuple(f"head{h:02d}.omega" for h in range(num_heads))
 
 
-def init_conv(d: int, kernel_size: int, dilation: int, rng: np.random.Generator) -> DilatedConvWeights:
-    kernel = rng.standard_normal((d, kernel_size)) / np.sqrt(kernel_size)
-    return DilatedConvWeights(kernel, dilation, np.zeros(d))
-
-
-def init_selective(d: int, state_size: int, rng: np.random.Generator) -> SelectiveWeights:
-    scale = 1.0 / np.sqrt(d)
-    return SelectiveWeights(
-        w_delta=rng.standard_normal(d) * scale,
-        bias=0.0,
-        w_b=rng.standard_normal((state_size, d)) * scale,
-        w_c=rng.standard_normal((state_size, d)) * scale,
-        a_log=0.0,
+def _draw_omegas(seed: int, i: int, d_head: int, num_heads: int, feature_count: int):
+    omega_seed = derive_seed(seed, i, 1)
+    return tuple(
+        draw_orthogonal_features(d_head, feature_count, derive_seed(omega_seed, h))
+        for h in range(num_heads)
     )
 
 
-def init_mixer_config(
-    kind: str,
-    d: int,
-    rng: np.random.Generator,
-    *,
-    num_heads: int = 4,
-    feature_count: int = 64,
-    state_size: int = 16,
-    use_rope: bool = True,
-    rope_base: float = 10000.0,
-    omega_seed: int = 0,
-) -> MixerConfig:
-    """Random weights for one mixer stage of the given kind.
+def _named(i: int, parts) -> dict:
+    """Block i's ``(part, names, values)`` triples as one name -> tensor dict."""
+    return {
+        f"block{i:02d}.{part}.{name}": np.atleast_1d(value)
+        for part, names, values in parts
+        for name, value in zip(names, values, strict=True)
+    }
 
-    Feature matrices for "favor" are drawn from per-head children of
-    ``omega_seed`` so the draw is reproducible independent of ``rng``
-    consumption order.
-    """
-    if kind not in MIXER_KINDS:
-        raise ValueError(f"kind must be one of {MIXER_KINDS}, got {kind!r}")
+
+def _draw_block(cfg: BlockStackConfig, i: int, seed: int, num_heads, feature_count, n) -> dict:
+    """Block i's initial tensors by container name, with state size ``n``;
+    stream (i, 0) is drawn in the order ffw_in, mixer, conv kernel, ffw_out."""
+    d, k, kind = cfg.d_model, cfg.kernel_size, cfg.mixer_kind
+    normal = make_rng(seed, i, 0).standard_normal
+    scale = 1.0 / np.sqrt(d)
+
+    def ffw():
+        w1 = normal((d, 4 * d)) / np.sqrt(d)
+        return w1, np.zeros(4 * d), normal((4 * d, d)) / np.sqrt(4 * d), np.zeros(d)
+
+    def selective():
+        w_delta = normal(d) * scale
+        return w_delta, 0.0, normal((n, d)) * scale, normal((n, d)) * scale, 0.0
+
+    parts = [("ffw_in", _FFW, ffw())]
     if kind in ("softmax", "favor"):
-        scale = 1.0 / np.sqrt(d)
-        weights = MhaWeights(
-            wq=rng.standard_normal((d, d)) * scale,
-            wk=rng.standard_normal((d, d)) * scale,
-            wv=rng.standard_normal((d, d)) * scale,
-            wo=rng.standard_normal((d, d)) * scale,
-        )
-        head_cfg = MultiHeadConfig(d_model=d, num_heads=num_heads)
-        rope = RopeConfig(head_cfg.d_head, rope_base) if use_rope else None
+        parts.append(("mixer", _MHA, [normal((d, d)) * scale for _ in _MHA]))
+        if kind == "favor":
+            d_head = MultiHeadConfig(d, num_heads).d_head
+            omegas = _draw_omegas(seed, i, d_head, num_heads, feature_count)
+            parts.append(("mixer", _omega_names(num_heads), [om.omega for om in omegas]))
+    else:
+        parts += [(f"mixer.{side}", _SELECTIVE, selective()) for side in ("fwd", "bwd")]
+        out_proj = normal((d, d)) / np.sqrt(d)
+        tail = (np.ones(d), out_proj) if kind == "hydra" else (out_proj,)
+        parts.append(("mixer", _SCAN_MIXERS[kind][1], tail))
+    parts.append(("conv", _CONV, (normal((d, k)) / np.sqrt(k), np.zeros(d))))
+    parts.append(("ffw_out", _FFW, ffw()))
+    parts.append(("norm", _NORM, (np.ones(d), np.zeros(d))))
+    return _named(i, parts)
+
+
+def _build_block(
+    cfg: BlockStackConfig, i: int, tensors, read: set, seed: int,
+    num_heads: int, feature_count: int, use_rope: bool, rope_base: float,
+) -> DcHydraBlock:
+    """Block i of a ``cfg`` stack from named tensors; adds to ``read``
+    each name it takes."""
+
+    def take(part, names):
+        keys = [f"block{i:02d}.{part}.{n}" for n in names]
+        read.update(keys)
+        try:
+            return [np.asarray(tensors[key]) for key in keys]
+        except KeyError as exc:
+            raise ValueError(f"container is missing tensor {exc.args[0]!r}") from None
+
+    kind = cfg.mixer_kind
+    if kind in ("softmax", "favor"):
+        heads = MultiHeadConfig(d_model=cfg.d_model, num_heads=num_heads)
         omegas = None
         if kind == "favor":
-            omegas = tuple(
-                draw_orthogonal_features(head_cfg.d_head, feature_count, derive_seed(omega_seed, h))
-                for h in range(num_heads)
-            )
-        return AttentionMixerConfig(kind, weights, head_cfg, rope, omegas)
-    fwd = init_selective(d, state_size, rng)
-    bwd = init_selective(d, state_size, rng)
-    out_proj = rng.standard_normal((d, d)) / np.sqrt(d)
-    if kind == "hydra":
-        return HydraMixerConfig(fwd, bwd, np.ones(d), out_proj)
-    return BiMambaMixerConfig(fwd, bwd, out_proj)
+            names = _omega_names(num_heads)
+            omegas = _draw_omegas(seed, i, heads.d_head, num_heads, feature_count)
+            for name, om, stored in zip(names, omegas, take("mixer", names)):
+                if not np.array_equal(om.omega, stored):
+                    raise ValueError(
+                        f"stored feature matrix block{i:02d}.mixer.{name} does not "
+                        f"match its seed; wrong seed for this container?"
+                    )
+        rope = RopeConfig(heads.d_head, rope_base) if use_rope else None
+        mixer = AttentionMixerConfig(kind, MhaWeights(*take("mixer", _MHA)), heads, rope, omegas)
+    else:
+        sides = (take(f"mixer.{side}", _SELECTIVE) for side in ("fwd", "bwd"))
+        fwd, bwd = (SelectiveWeights(w, b.item(), wb, wc, a.item()) for w, b, wb, wc, a in sides)
+        config_type, names = _SCAN_MIXERS[kind]
+        mixer = config_type(fwd, bwd, *take("mixer", names))
+    kernel, bias = take("conv", _CONV)
+    conv = DilatedConvWeights(kernel, dilation_for_block(i, cfg.dilation_period), bias)
+    ffw_in, ffw_out = (FfwWeights(*take(part, _FFW)) for part in ("ffw_in", "ffw_out"))
+    return DcHydraBlock(ffw_in, mixer, conv, ffw_out, *take("norm", _NORM))
+
+
+def _build_stack(cfg: BlockStackConfig, block_tensors, seed: int, *block_args):
+    """Build a ``cfg`` stack block by block from ``block_tensors(i)``. A
+    tensor that no block reads raises ValueError naming the first one, and
+    the blocks must pass :func:`validate_stack`."""
+    offered, read, blocks = {}, set(), []
+    for i in range(cfg.num_blocks):
+        tensors = block_tensors(i)
+        offered.update(dict.fromkeys(tensors))
+        blocks.append(_build_block(cfg, i, tensors, read, seed, *block_args))
+    unread = [name for name in offered if name not in read]
+    if unread:
+        raise ValueError(
+            f"tensor {unread[0]!r} is not part of a {cfg.num_blocks}-block "
+            f"{cfg.mixer_kind} stack"
+        )
+    validate_stack(cfg, blocks)
+    return tuple(blocks)
 
 
 def init_stack(
@@ -604,97 +659,41 @@ def init_stack(
 
     Block i draws from stream (i, 0) of the seed; favor feature
     matrices use child seeds on stream (i, 1). LayerNorm starts at
-    scale 1, shift 0.
+    scale 1, shift 0. Each block is drawn as named tensors and built by
+    the same code as :func:`stack_from_tensors`, one block at a time, so
+    favor feature matrices pass the loader's seed check too.
     """
-    blocks = []
-    for i in range(cfg.num_blocks):
-        rng = make_rng(seed, i, 0)
-        ffw_in = init_ffw(cfg.d_model, rng)
-        mixer = init_mixer_config(
-            cfg.mixer_kind,
-            cfg.d_model,
-            rng,
-            num_heads=num_heads,
-            feature_count=feature_count,
-            state_size=state_size,
-            use_rope=use_rope,
-            rope_base=rope_base,
-            omega_seed=derive_seed(seed, i, 1),
-        )
-        conv = init_conv(
-            cfg.d_model, cfg.kernel_size, dilation_for_block(i, cfg.dilation_period), rng
-        )
-        ffw_out = init_ffw(cfg.d_model, rng)
-        blocks.append(
-            DcHydraBlock(
-                ffw_in=ffw_in,
-                mixer_config=mixer,
-                conv=conv,
-                ffw_out=ffw_out,
-                norm_scale=np.ones(cfg.d_model),
-                norm_shift=np.zeros(cfg.d_model),
-            )
-        )
-    return tuple(blocks)
 
+    def draw(i):
+        return _draw_block(cfg, i, seed, num_heads, feature_count, state_size)
 
-def _selective_tensors(prefix: str, w: SelectiveWeights) -> dict:
-    return {
-        f"{prefix}.w_delta": w.w_delta,
-        f"{prefix}.bias": np.array([w.bias]),
-        f"{prefix}.w_b": w.w_b,
-        f"{prefix}.w_c": w.w_c,
-        f"{prefix}.a_log": np.array([w.a_log]),
-    }
+    return _build_stack(cfg, draw, seed, num_heads, feature_count, use_rope, rope_base)
 
 
 def stack_to_tensors(blocks: Sequence[DcHydraBlock]) -> dict:
     """Flatten a stack's weights to an ordered name -> tensor mapping."""
+
+    def part(name, obj, fields):
+        return name, fields, [getattr(obj, f) for f in fields]
+
     out = {}
     for i, block in enumerate(blocks):
-        p = f"block{i:02d}"
-        for part, w in (("ffw_in", block.ffw_in), ("ffw_out", block.ffw_out)):
-            out[f"{p}.{part}.w1"] = w.w1
-            out[f"{p}.{part}.b1"] = w.b1
-            out[f"{p}.{part}.w2"] = w.w2
-            out[f"{p}.{part}.b2"] = w.b2
         mc = block.mixer_config
         if isinstance(mc, AttentionMixerConfig):
-            out[f"{p}.mixer.wq"] = mc.weights.wq
-            out[f"{p}.mixer.wk"] = mc.weights.wk
-            out[f"{p}.mixer.wv"] = mc.weights.wv
-            out[f"{p}.mixer.wo"] = mc.weights.wo
-            if mc.omegas is not None:
-                for h, om in enumerate(mc.omegas):
-                    out[f"{p}.mixer.head{h:02d}.omega"] = om.omega
+            omegas = [om.omega for om in mc.omegas or ()]
+            mixer = [part("mixer", mc.weights, _MHA)]
+            mixer.append(("mixer", _omega_names(len(omegas)), omegas))
         else:
-            out.update(_selective_tensors(f"{p}.mixer.fwd", mc.fwd))
-            out.update(_selective_tensors(f"{p}.mixer.bwd", mc.bwd))
-            if isinstance(mc, HydraMixerConfig):
-                out[f"{p}.mixer.diag_gain"] = mc.diag_gain
-            out[f"{p}.mixer.out_proj"] = mc.out_proj
-        out[f"{p}.conv.kernel"] = block.conv.kernel
-        out[f"{p}.conv.bias"] = block.conv.bias
-        out[f"{p}.norm.scale"] = block.norm_scale
-        out[f"{p}.norm.shift"] = block.norm_shift
+            mixer = [part(f"mixer.{s}", getattr(mc, s), _SELECTIVE) for s in ("fwd", "bwd")]
+            mixer.append(part("mixer", mc, _SCAN_MIXERS[mixer_kind_of(mc)][1]))
+        out.update(_named(i, [
+            part("ffw_in", block.ffw_in, _FFW),
+            part("ffw_out", block.ffw_out, _FFW),
+            *mixer,
+            part("conv", block.conv, _CONV),
+            ("norm", _NORM, (block.norm_scale, block.norm_shift)),
+        ]))
     return out
-
-
-def _take(tensors: Mapping[str, np.ndarray], name: str) -> np.ndarray:
-    try:
-        return tensors[name]
-    except KeyError:
-        raise ValueError(f"container is missing tensor {name!r}") from None
-
-
-def _selective_from(tensors, prefix: str) -> SelectiveWeights:
-    return SelectiveWeights(
-        w_delta=_take(tensors, f"{prefix}.w_delta"),
-        bias=float(_take(tensors, f"{prefix}.bias")[0]),
-        w_b=_take(tensors, f"{prefix}.w_b"),
-        w_c=_take(tensors, f"{prefix}.w_c"),
-        a_log=float(_take(tensors, f"{prefix}.a_log")[0]),
-    )
 
 
 def stack_from_tensors(
@@ -710,74 +709,17 @@ def stack_from_tensors(
     """Rebuild a stack from a tensor container written by this package.
 
     Structural facts (kinds, dilations, rope) come from ``cfg`` and the
-    keyword arguments; numeric weights come from ``tensors``. Favor
-    feature matrices are re-drawn from the same child seeds
-    :func:`init_stack` used and verified bit-identical against the
-    stored copies, so ``seed`` must be the stack's original seed.
+    keyword arguments; numeric weights come from ``tensors``, through
+    the block builder :func:`init_stack` uses. Favor feature matrices
+    are re-drawn from the child seeds :func:`init_stack` used and must
+    equal the stored copies bit for bit, so ``seed`` must be the stack's
+    original seed. The container must fit ``cfg`` exactly: a missing or
+    unread tensor, or blocks that fail :func:`validate_stack`, raise
+    ValueError.
     """
-    blocks = []
-    for i in range(cfg.num_blocks):
-        p = f"block{i:02d}"
-        ffws = {}
-        for part in ("ffw_in", "ffw_out"):
-            ffws[part] = FfwWeights(
-                w1=_take(tensors, f"{p}.{part}.w1"),
-                b1=_take(tensors, f"{p}.{part}.b1"),
-                w2=_take(tensors, f"{p}.{part}.w2"),
-                b2=_take(tensors, f"{p}.{part}.b2"),
-            )
-        if cfg.mixer_kind in ("softmax", "favor"):
-            weights = MhaWeights(
-                wq=_take(tensors, f"{p}.mixer.wq"),
-                wk=_take(tensors, f"{p}.mixer.wk"),
-                wv=_take(tensors, f"{p}.mixer.wv"),
-                wo=_take(tensors, f"{p}.mixer.wo"),
-            )
-            head_cfg = MultiHeadConfig(d_model=cfg.d_model, num_heads=num_heads)
-            rope = RopeConfig(head_cfg.d_head, rope_base) if use_rope else None
-            omegas = None
-            if cfg.mixer_kind == "favor":
-                omega_seed = derive_seed(seed, i, 1)
-                drawn = []
-                for h in range(num_heads):
-                    om = draw_orthogonal_features(
-                        head_cfg.d_head, feature_count, derive_seed(omega_seed, h)
-                    )
-                    stored = _take(tensors, f"{p}.mixer.head{h:02d}.omega")
-                    if not np.array_equal(om.omega, stored):
-                        raise ValueError(
-                            f"stored feature matrix {p}.mixer.head{h:02d}.omega does "
-                            f"not match its seed; wrong seed for this container?"
-                        )
-                    drawn.append(om)
-                omegas = tuple(drawn)
-            mixer: MixerConfig = AttentionMixerConfig(
-                cfg.mixer_kind, weights, head_cfg, rope, omegas
-            )
-        else:
-            fwd = _selective_from(tensors, f"{p}.mixer.fwd")
-            bwd = _selective_from(tensors, f"{p}.mixer.bwd")
-            out_proj = _take(tensors, f"{p}.mixer.out_proj")
-            if cfg.mixer_kind == "hydra":
-                mixer = HydraMixerConfig(fwd, bwd, _take(tensors, f"{p}.mixer.diag_gain"), out_proj)
-            else:
-                mixer = BiMambaMixerConfig(fwd, bwd, out_proj)
-        conv = DilatedConvWeights(
-            kernel=_take(tensors, f"{p}.conv.kernel"),
-            dilation=dilation_for_block(i, cfg.dilation_period),
-            bias=_take(tensors, f"{p}.conv.bias"),
-        )
-        blocks.append(
-            DcHydraBlock(
-                ffw_in=ffws["ffw_in"],
-                mixer_config=mixer,
-                conv=conv,
-                ffw_out=ffws["ffw_out"],
-                norm_scale=_take(tensors, f"{p}.norm.scale"),
-                norm_shift=_take(tensors, f"{p}.norm.shift"),
-            )
-        )
-    return tuple(blocks)
+    return _build_stack(
+        cfg, lambda i: tensors, seed, num_heads, feature_count, use_rope, rope_base
+    )
 
 
 def save_tensors(path, tensors: Mapping[str, np.ndarray]) -> None:

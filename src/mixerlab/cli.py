@@ -45,7 +45,6 @@ from .blocks import (
     save_tensors,
     load_tensors,
     stack_to_tensors,
-    validate_stack,
     with_zeroed_projections,
 )
 from .diagnostics import (
@@ -507,7 +506,6 @@ def cmd_demo(cfg: RunConfig) -> int:
     )
     if cfg.zero_weights:
         blocks = tuple(with_zeroed_projections(b) for b in blocks)
-    validate_stack(stack_cfg, blocks)
 
     x = FeatureSequence(make_rng(cfg.seed, 5).standard_normal((cfg.T, cfg.d_model)))
     rows = []

@@ -45,6 +45,14 @@ class TestBenchSample:
         with pytest.raises(ValueError):
             BenchSample("ssm_scan", 8, 4, 2, 0.1, 2, 1)
 
+    @pytest.mark.parametrize("wall_time", [True, float("inf"), float("nan"), "0.1"])
+    def test_time_must_be_a_finite_real(self, wall_time):
+        with pytest.raises(ValueError):
+            BenchSample("ssm_scan", 8, 4, 2, wall_time, 3, 1)
+
+    def test_numpy_time_accepted(self):
+        assert BenchSample("ssm_scan", 8, 4, 2, np.float32(0.1), 3, 1).wall_time > 0
+
 
 class TestFitLoglogSlope:
     def test_linear_times_fit_slope_one(self):

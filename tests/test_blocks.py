@@ -6,14 +6,17 @@ import pytest
 
 from mixerlab import (
     LAYER_NORM_EPS,
+    MIXER_KINDS,
     TENSOR_MAGIC,
     BlockStackConfig,
     DilatedConvWeights,
     FeatureSequence,
     FfwWeights,
     block_forward,
+    derive_seed,
     dilated_dw_conv,
     dilation_for_block,
+    draw_orthogonal_features,
     ffw_apply,
     init_stack,
     layer_norm_apply,
@@ -34,6 +37,60 @@ def _silu_reference(x):
     """silu as one expression, one temporary per operation."""
     x = np.asarray(x, dtype=np.float64)
     return x * (0.5 * (1.0 + np.tanh(0.5 * x)))
+
+
+def _init_stack_reference(cfg, seed, num_heads=4, feature_count=64, state_size=16):
+    """init_stack's weights drawn part by part, keyed in container order.
+
+    Block i draws stream (i, 0) in the order ffw_in, mixer, conv kernel,
+    ffw_out; favor feature matrices come from the per-head children of
+    derive_seed(seed, i, 1). FFW, conv and out_proj weights divide by
+    sqrt(fan-in); attention and selective weights multiply by 1/sqrt(d).
+    """
+    d, k = cfg.d_model, cfg.kernel_size
+    scale = 1.0 / np.sqrt(d)
+    out = {}
+    for i in range(cfg.num_blocks):
+        rng = make_rng(seed, i, 0)
+
+        def ffw():
+            w1 = rng.standard_normal((d, 4 * d)) / np.sqrt(d)
+            w2 = rng.standard_normal((4 * d, d)) / np.sqrt(4 * d)
+            return {"w1": w1, "b1": np.zeros(4 * d), "w2": w2, "b2": np.zeros(d)}
+
+        ffw_in = ffw()
+        mixer = {}
+        if cfg.mixer_kind in ("softmax", "favor"):
+            for name in ("wq", "wk", "wv", "wo"):
+                mixer[name] = rng.standard_normal((d, d)) * scale
+            if cfg.mixer_kind == "favor":
+                omega_seed = derive_seed(seed, i, 1)
+                for h in range(num_heads):
+                    om = draw_orthogonal_features(
+                        d // num_heads, feature_count, derive_seed(omega_seed, h)
+                    )
+                    mixer[f"head{h:02d}.omega"] = om.omega
+        else:
+            for side in ("fwd", "bwd"):
+                mixer[f"{side}.w_delta"] = rng.standard_normal(d) * scale
+                mixer[f"{side}.bias"] = np.zeros(1)
+                mixer[f"{side}.w_b"] = rng.standard_normal((state_size, d)) * scale
+                mixer[f"{side}.w_c"] = rng.standard_normal((state_size, d)) * scale
+                mixer[f"{side}.a_log"] = np.zeros(1)
+            if cfg.mixer_kind == "hydra":
+                mixer["diag_gain"] = np.ones(d)
+            mixer["out_proj"] = rng.standard_normal((d, d)) / np.sqrt(d)
+        kernel = rng.standard_normal((d, k)) / np.sqrt(k)
+        ffw_out = ffw()
+        p = f"block{i:02d}"
+        for part, tensors in (("ffw_in", ffw_in), ("ffw_out", ffw_out), ("mixer", mixer)):
+            for name, value in tensors.items():
+                out[f"{p}.{part}.{name}"] = value
+        out[f"{p}.conv.kernel"] = kernel
+        out[f"{p}.conv.bias"] = np.zeros(d)
+        out[f"{p}.norm.scale"] = np.ones(d)
+        out[f"{p}.norm.shift"] = np.zeros(d)
+    return out
 
 
 class TestSilu:
@@ -356,6 +413,22 @@ class TestStack:
         t3 = stack_to_tensors(init_stack(cfg, 12, state_size=4))
         assert any(not np.array_equal(t1[n], t3[n]) for n in t1)
 
+    @pytest.mark.parametrize("kind", MIXER_KINDS)
+    @pytest.mark.parametrize(
+        "sizes",
+        [{}, {"num_heads": 2, "feature_count": 8, "state_size": 4}],
+        ids=["default-sizes", "small-sizes"],
+    )
+    def test_init_matches_per_part_draw(self, kind, sizes):
+        """Same draws, same arithmetic, same container order as drawing
+        each part on its own."""
+        cfg = BlockStackConfig(d_model=8, num_blocks=5, kernel_size=3, mixer_kind=kind)
+        got = stack_to_tensors(init_stack(cfg, 7, **sizes))
+        want = _init_stack_reference(cfg, 7, **sizes)
+        assert list(got) == list(want)
+        for name in want:
+            assert np.array_equal(got[name], want[name]), name
+
 
 class TestTensorContainer:
     def test_roundtrip_bitwise(self, tmp_path):
@@ -413,9 +486,10 @@ class TestTensorContainer:
         with pytest.raises(ValueError):
             save_tensors(tmp_path / "t.bin", {"bad name": np.zeros(2)})
 
-    def test_stack_roundtrip_through_container(self, tmp_path):
-        cfg = BlockStackConfig(d_model=8, num_blocks=2, kernel_size=3, mixer_kind="favor")
-        blocks = init_stack(cfg, 21, num_heads=2, feature_count=8)
+    @pytest.mark.parametrize("kind", MIXER_KINDS)
+    def test_stack_roundtrip_through_container(self, tmp_path, kind):
+        cfg = BlockStackConfig(d_model=8, num_blocks=2, kernel_size=3, mixer_kind=kind)
+        blocks = init_stack(cfg, 21, num_heads=2, feature_count=8, state_size=4)
         path = tmp_path / "w.bin"
         save_tensors(path, stack_to_tensors(blocks))
         restored = stack_from_tensors(
@@ -432,6 +506,39 @@ class TestTensorContainer:
         del tensors["block00.conv.bias"]
         with pytest.raises(ValueError):
             stack_from_tensors(cfg, tensors, 4)
+
+    def test_restore_rejects_unread_scan_tensors_and_blocks(self):
+        """A 3-block hydra container is not a 2-block bimamba stack: its
+        diagonal gains and third block would be dropped."""
+        hydra = BlockStackConfig(d_model=6, num_blocks=3, kernel_size=3, mixer_kind="hydra")
+        tensors = stack_to_tensors(init_stack(hydra, 4, state_size=4))
+        bimamba = BlockStackConfig(d_model=6, num_blocks=2, kernel_size=3, mixer_kind="bimamba")
+        with pytest.raises(ValueError, match="'block00.mixer.diag_gain'"):
+            stack_from_tensors(bimamba, tensors, 4)
+        del tensors["block00.mixer.diag_gain"], tensors["block01.mixer.diag_gain"]
+        with pytest.raises(ValueError, match="'block02.ffw_in.w1'"):
+            stack_from_tensors(bimamba, tensors, 4)
+
+    def test_restore_rejects_unread_feature_matrices(self):
+        """A favor container is not a softmax stack: its feature matrices
+        would be dropped."""
+        favor = BlockStackConfig(d_model=8, num_blocks=1, kernel_size=3, mixer_kind="favor")
+        tensors = stack_to_tensors(init_stack(favor, 31, num_heads=2, feature_count=8))
+        softmax = BlockStackConfig(d_model=8, num_blocks=1, kernel_size=3, mixer_kind="softmax")
+        with pytest.raises(ValueError, match="'block00.mixer.head00.omega'"):
+            stack_from_tensors(softmax, tensors, 31, num_heads=2, feature_count=8)
+
+    def test_restore_rejects_stack_that_does_not_match_config(self):
+        """Width and kernel size come from the tensors, so they must agree
+        with cfg at load time, not only when the stack first runs."""
+        small = BlockStackConfig(d_model=8, num_blocks=2, kernel_size=3)
+        tensors = stack_to_tensors(init_stack(small, 5, state_size=4))
+        for cfg in (
+            BlockStackConfig(d_model=16, num_blocks=2, kernel_size=7),
+            BlockStackConfig(d_model=8, num_blocks=2, kernel_size=7),
+        ):
+            with pytest.raises(ValueError):
+                stack_from_tensors(cfg, tensors, 5)
 
     def test_restore_rejects_tampered_feature_matrix(self):
         """Random-feature matrices are re-derived from the seed; a stored

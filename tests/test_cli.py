@@ -2,6 +2,7 @@
 subcommand behavior, output files, and exit codes."""
 
 import csv
+import hashlib
 
 import numpy as np
 import pytest
@@ -11,8 +12,11 @@ from mixerlab import (
     FeatureSequence,
     init_stack,
     layer_norm_apply,
+    load_tensors,
     make_rng,
     save_tensors,
+    stack_forward,
+    stack_from_tensors,
     with_zeroed_projections,
 )
 from mixerlab.cli import ConfigError, RunConfig, main, parse_config_file
@@ -317,6 +321,19 @@ class TestDemoCommand:
         a = read_csv(tmp_path / "a" / "demo.csv")[-1][3]
         b = read_csv(tmp_path / "b" / "demo.csv")[-1][3]
         assert a != b
+
+    @pytest.mark.parametrize("kind", ["hydra", "bimamba", "favor", "softmax"])
+    def test_saved_weights_reproduce_checksum(self, tmp_path, capsys, kind):
+        """demo_weights.bin is the whole stack: reloaded and run on the demo
+        input, it gives the output whose checksum demo.csv records."""
+        assert main(self.DEMO_ARGS + ["--mixer_kind", kind, "--out", str(tmp_path)]) == 0
+        cfg = BlockStackConfig(d_model=8, num_blocks=3, kernel_size=3, mixer_kind=kind)
+        tensors = load_tensors(tmp_path / "demo_weights.bin")
+        blocks = stack_from_tensors(cfg, tensors, 42, num_heads=2, feature_count=8)
+        x = FeatureSequence(make_rng(42, 5).standard_normal((12, 8)))
+        y = stack_forward(x, cfg, blocks).data
+        checksum = hashlib.sha256(np.ascontiguousarray(y).tobytes()).hexdigest()
+        assert read_csv(tmp_path / "demo.csv")[-1][3] == checksum
 
     def test_token_generator_preset_logs_dilation_schedule(self, tmp_path, capsys):
         code = main(
