@@ -11,199 +11,27 @@ scaling benchmarks, and a CLI that drives all of it reproducibly from
 a single seed.
 """
 
-from .attention import (
-    MhaWeights,
-    MultiHeadConfig,
-    OrthogonalFeatureMatrix,
-    QkvTriple,
-    RopeConfig,
-    apply_rope,
-    draw_orthogonal_features,
-    favor_attention,
-    favor_mixer,
-    multi_head_attention,
-    positive_feature_map,
-    softmax_attention,
-    softmax_mixer,
-)
-from .bench import (
-    OP_LABELS,
-    BenchSample,
-    ScalingReport,
-    fit_loglog_slope,
-    time_operation,
-    write_bench_csv,
-    write_scaling_csv,
-)
-from .blocks import (
-    LAYER_NORM_EPS,
-    MIXER_KINDS,
-    TENSOR_MAGIC,
-    AttentionMixerConfig,
-    BiMambaMixerConfig,
-    BlockStackConfig,
-    DcHydraBlock,
-    DilatedConvWeights,
-    FfwWeights,
-    HydraMixerConfig,
-    block_forward,
-    dilated_dw_conv,
-    dilation_for_block,
-    ffw_apply,
-    init_stack,
-    layer_norm_apply,
-    load_tensors,
-    mixer_apply,
-    mixer_kind_of,
-    save_tensors,
-    silu,
-    stack_forward,
-    stack_from_tensors,
-    stack_to_tensors,
-    validate_stack,
-    with_zeroed_projections,
-)
+from . import attention, bench, blocks, diagnostics, mixer_core, rng, ssm
+from .attention import *
+from .bench import *
+from .blocks import *
 from .cli import ConfigError, RunConfig, main
-from .diagnostics import (
-    Histogram,
-    MixerReport,
-    approximation_error_curve,
-    build_mixer_report,
-    default_windows,
-    head_average,
-    locality_mass,
-    numerical_rank,
-    pairwise_l2_histogram,
-    write_approx_curve,
-    write_l2_hist,
-    write_locality,
-    write_rank_report,
-)
-from .mixer_core import (
-    DEFAULT_RANK_TOL,
-    FeatureSequence,
-    MatrixMixer,
-    MixerClass,
-    NumericRangeError,
-    ShapeError,
-    StructureReport,
-    apply_mixer,
-    check_structure,
-)
-from .rng import derive_seed, make_rng
-from .ssm import (
-    BiMambaParams,
-    HydraParams,
-    ScanParams,
-    SelectiveWeights,
-    bimamba_apply,
-    bimamba_channelwise,
-    bimamba_mixer,
-    hydra_apply,
-    hydra_channelwise,
-    hydra_mixer,
-    segment_product,
-    selective_parameterize,
-    ssm_mixer,
-    ssm_scan,
-)
+from .diagnostics import *
+from .mixer_core import *
+from .rng import *
+from .ssm import *
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # core
-    "DEFAULT_RANK_TOL",
-    "FeatureSequence",
-    "MatrixMixer",
-    "MixerClass",
-    "NumericRangeError",
-    "ShapeError",
-    "StructureReport",
-    "apply_mixer",
-    "check_structure",
-    # rng
-    "derive_seed",
-    "make_rng",
-    # attention
-    "MhaWeights",
-    "MultiHeadConfig",
-    "OrthogonalFeatureMatrix",
-    "QkvTriple",
-    "RopeConfig",
-    "apply_rope",
-    "draw_orthogonal_features",
-    "favor_attention",
-    "favor_mixer",
-    "multi_head_attention",
-    "positive_feature_map",
-    "softmax_attention",
-    "softmax_mixer",
-    # ssm
-    "BiMambaParams",
-    "HydraParams",
-    "ScanParams",
-    "SelectiveWeights",
-    "bimamba_apply",
-    "bimamba_channelwise",
-    "bimamba_mixer",
-    "hydra_apply",
-    "hydra_channelwise",
-    "hydra_mixer",
-    "segment_product",
-    "selective_parameterize",
-    "ssm_mixer",
-    "ssm_scan",
-    # blocks
-    "LAYER_NORM_EPS",
-    "MIXER_KINDS",
-    "TENSOR_MAGIC",
-    "AttentionMixerConfig",
-    "BiMambaMixerConfig",
-    "BlockStackConfig",
-    "DcHydraBlock",
-    "DilatedConvWeights",
-    "FfwWeights",
-    "HydraMixerConfig",
-    "block_forward",
-    "dilated_dw_conv",
-    "dilation_for_block",
-    "ffw_apply",
-    "init_stack",
-    "layer_norm_apply",
-    "load_tensors",
-    "mixer_apply",
-    "mixer_kind_of",
-    "save_tensors",
-    "silu",
-    "stack_forward",
-    "stack_from_tensors",
-    "stack_to_tensors",
-    "validate_stack",
-    "with_zeroed_projections",
-    # diagnostics
-    "Histogram",
-    "MixerReport",
-    "approximation_error_curve",
-    "build_mixer_report",
-    "default_windows",
-    "head_average",
-    "locality_mass",
-    "numerical_rank",
-    "pairwise_l2_histogram",
-    "write_approx_curve",
-    "write_l2_hist",
-    "write_locality",
-    "write_rank_report",
-    # bench
-    "OP_LABELS",
-    "BenchSample",
-    "ScalingReport",
-    "fit_loglog_slope",
-    "time_operation",
-    "write_bench_csv",
-    "write_scaling_csv",
-    # cli
+    *mixer_core.__all__,
+    *rng.__all__,
+    *attention.__all__,
+    *ssm.__all__,
+    *blocks.__all__,
+    *diagnostics.__all__,
+    *bench.__all__,
     "ConfigError",
     "RunConfig",
     "main",

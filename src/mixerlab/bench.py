@@ -9,9 +9,8 @@ log time) then estimates the empirical complexity exponent: ~2 for the
 quadratic attention path, ~1 for the linear-time paths.
 
 Measurements are single-threaded by contract: operations run strictly
-one after another on the calling thread. Peak-memory figures are coarse
-analytic working-set estimates from the input shapes, recorded for
-inspection only.
+one after another on the calling thread. Inputs are drawn like the
+cases of ``mixerlab equiv``, through the same seeded-case helpers.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ import numpy as np
 
 from ._io import write_csv
 from .attention import (
-    _SOFTMAX_CHUNK,
     QkvTriple,
     draw_orthogonal_features,
     favor_attention,
@@ -38,7 +36,10 @@ from .ssm import (
     HydraParams,
     ScanParams,
     bimamba_apply,
+    bimamba_mixer,
     hydra_apply,
+    hydra_mixer,
+    ssm_mixer,
     ssm_scan,
 )
 
@@ -66,8 +67,7 @@ class BenchSample:
     """One timed point: median wall seconds for an op at one size.
 
     ``r_or_N`` is the feature count (favor), the state size (scans), or
-    0 for ops with no such parameter. ``est_peak_bytes`` is the analytic
-    working-set estimate.
+    0 for ops with no such parameter.
     """
 
     op_label: str
@@ -76,12 +76,11 @@ class BenchSample:
     r_or_N: int
     wall_time: float
     repeats: int
-    est_peak_bytes: int
 
     def __post_init__(self) -> None:
         if self.op_label not in OP_LABELS:
             raise ValueError(f"unknown op_label {self.op_label!r}")
-        for name, lo in (("T", 1), ("d", 1), ("r_or_N", 0), ("repeats", 3), ("est_peak_bytes", 0)):
+        for name, lo in (("T", 1), ("d", 1), ("r_or_N", 0), ("repeats", 3)):
             v = getattr(self, name)
             if not _is_int(v) or v < lo:
                 raise ValueError(f"{name} must be an integer >= {lo}, got {v!r}")
@@ -104,47 +103,58 @@ class ScalingReport:
         object.__setattr__(self, "samples", tuple(self.samples))
 
 
-def _scan_params(rng: np.random.Generator, T: int, N: int) -> ScanParams:
-    return ScanParams(
-        a=rng.uniform(0.85, 0.999, T),
-        b=rng.standard_normal((T, N)) / np.sqrt(N),
-        c=rng.standard_normal((T, N)) / np.sqrt(N),
+def _random_qkv(rng: np.random.Generator, T: int, d: int) -> QkvTriple:
+    scale = 1.0 / np.sqrt(d)
+    return QkvTriple(
+        q=rng.standard_normal((T, d)) * scale,
+        k=rng.standard_normal((T, d)) * scale,
+        v=rng.standard_normal((T, d)),
     )
 
 
+def _random_scan_params(rng: np.random.Generator, T: int, N: int) -> ScanParams:
+    # mixed magnitudes: per-instance scale in [0.1, 10] on top of
+    # standard normal entries
+    return ScanParams(
+        a=rng.uniform(0.05, 1.0, T),
+        b=rng.standard_normal((T, N)) * 10.0 ** rng.uniform(-1.0, 1.0),
+        c=rng.standard_normal((T, N)) * 10.0 ** rng.uniform(-1.0, 1.0),
+    )
+
+
+def _scan_kind(kind: str):
+    """(seeded parameter draw, recurrence, materialized mixer) of the scan
+    kind ``ssm``, ``bimamba`` or ``hydra``. Built per call, so that wrappers
+    installed on these module names see the calls."""
+    draw = _random_scan_params
+    return {
+        "ssm": (draw, ssm_scan, ssm_mixer),
+        "bimamba": (
+            lambda rng, T, N: BiMambaParams(draw(rng, T, N), draw(rng, T, N)),
+            bimamba_apply,
+            bimamba_mixer,
+        ),
+        "hydra": (
+            lambda rng, T, N: HydraParams(draw(rng, T, N), draw(rng, T, N), rng.standard_normal(T)),
+            hydra_apply,
+            hydra_mixer,
+        ),
+    }[kind]
+
+
 def _setup(op_label: str, T: int, d: int, r_or_N: int, seed: int, stream: int):
-    """Build seeded inputs and return (thunk, est_peak_bytes)."""
+    """Build seeded inputs and return the thunk to time."""
     rng = make_rng(seed, stream)
     if op_label in ("softmax_attention", "favor_attention"):
-        scale = 1.0 / np.sqrt(d)
-        qkv = QkvTriple(
-            q=rng.standard_normal((T, d)) * scale,
-            k=rng.standard_normal((T, d)) * scale,
-            v=rng.standard_normal((T, d)),
-        )
+        qkv = _random_qkv(rng, T, d)
         if op_label == "softmax_attention":
-            est = 8 * (4 * T * d + min(T, _SOFTMAX_CHUNK) * T)
-            return (lambda: softmax_attention(qkv)), est
+            return lambda: softmax_attention(qkv)
         omega = draw_orthogonal_features(d, r_or_N, derive_seed(seed, stream, 1))
-        est = 8 * (4 * T * d + 2 * T * r_or_N + r_or_N * d + T)
-        return (lambda: favor_attention(qkv, omega)), est
-    N = r_or_N
+        return lambda: favor_attention(qkv, omega)
+    draw, recurrence, _ = _scan_kind(op_label.removesuffix("_scan"))
     x = rng.standard_normal(T)
-    if op_label == "ssm_scan":
-        params = _scan_params(rng, T, N)
-        est = 8 * (2 * T * N + 3 * T + N)
-        return (lambda: ssm_scan(params, x)), est
-    if op_label == "bimamba_scan":
-        params = BiMambaParams(_scan_params(rng, T, N), _scan_params(rng, T, N))
-        est = 8 * (4 * T * N + 6 * T + 2 * N)
-        return (lambda: bimamba_apply(params, x)), est
-    if op_label == "hydra_scan":
-        params = HydraParams(
-            _scan_params(rng, T, N), _scan_params(rng, T, N), rng.standard_normal(T)
-        )
-        est = 8 * (4 * T * N + 7 * T + 2 * N)
-        return (lambda: hydra_apply(params, x)), est
-    raise ValueError(f"unknown op_label {op_label!r}; expected one of {OP_LABELS}")
+    params = draw(rng, T, r_or_N)
+    return lambda: recurrence(params, x)
 
 
 def time_operation(
@@ -162,7 +172,9 @@ def time_operation(
     """
     if op_label not in OP_LABELS:
         raise ValueError(f"unknown op_label {op_label!r}; expected one of {OP_LABELS}")
-    ts = [int(t) for t in T_values]
+    ts = list(T_values)
+    if any(not _is_int(t) or t < 1 for t in ts):
+        raise ValueError(f"T_values entries must be positive integers, got {ts!r}")
     if len(ts) < 3:
         raise ValueError(f"need at least 3 sequence lengths, got {len(ts)}")
     if any(b <= a for a, b in zip(ts, ts[1:])):
@@ -171,7 +183,7 @@ def time_operation(
         raise ValueError(f"repeats must be an integer >= 3, got {repeats!r}")
     samples = []
     for ti, T in enumerate(ts):
-        thunk, est = _setup(op_label, T, d, r_or_N, seed, ti)
+        thunk = _setup(op_label, T, d, r_or_N, seed, ti)
         thunk()
         times = []
         for _ in range(repeats):
@@ -186,7 +198,6 @@ def time_operation(
                 r_or_N=r_or_N,
                 wall_time=float(median(times)),
                 repeats=repeats,
-                est_peak_bytes=est,
             )
         )
     return samples
@@ -225,15 +236,8 @@ def fit_loglog_slope(samples: Sequence[BenchSample]) -> ScalingReport:
 
 
 def write_bench_csv(path, samples: Sequence[BenchSample]) -> None:
-    rows = [
-        (s.op_label, s.T, s.d, s.r_or_N, s.wall_time, s.repeats, s.est_peak_bytes)
-        for s in samples
-    ]
-    write_csv(
-        path,
-        ("op_label", "T", "d", "r_or_N", "median_seconds", "repeats", "est_peak_bytes"),
-        rows,
-    )
+    rows = [(s.op_label, s.T, s.d, s.r_or_N, s.wall_time, s.repeats) for s in samples]
+    write_csv(path, ("op_label", "T", "d", "r_or_N", "median_seconds", "repeats"), rows)
 
 
 def write_scaling_csv(path, reports: Sequence[ScalingReport]) -> None:

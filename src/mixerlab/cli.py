@@ -35,8 +35,9 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from ._io import write_csv
-from .attention import QkvTriple, draw_orthogonal_features, favor_attention, favor_mixer, softmax_mixer
+from .attention import draw_orthogonal_features, favor_attention, favor_mixer, softmax_mixer
 from .bench import OP_LABELS, fit_loglog_slope, time_operation, write_bench_csv, write_scaling_csv
+from .bench import _random_qkv, _scan_kind
 from .blocks import (
     MIXER_KINDS,
     BlockStackConfig,
@@ -59,17 +60,6 @@ from .diagnostics import (
 )
 from .mixer_core import FeatureSequence, _check_tol, _is_int, apply_mixer
 from .rng import derive_seed, make_rng
-from .ssm import (
-    BiMambaParams,
-    HydraParams,
-    ScanParams,
-    bimamba_apply,
-    bimamba_mixer,
-    hydra_apply,
-    hydra_mixer,
-    ssm_mixer,
-    ssm_scan,
-)
 
 __all__ = [
     "ConfigError",
@@ -128,24 +118,10 @@ class RunConfig:
             object.__setattr__(self, "num_blocks", shape.num_blocks)
         if not _is_int(self.seed) or not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed must be a 64-bit nonnegative integer, got {self.seed!r}")
-        for name in (
-            "T",
-            "d_model",
-            "num_heads",
-            "r",
-            "N",
-            "kernel_size",
-            "dilation_period",
-            "num_blocks",
-            "cases",
-            "bins",
-            "approx_seeds",
-            "repeats",
-            "bench_r",
-        ):
-            v = getattr(self, name)
-            if not _is_int(v) or v < 1:
-                raise ConfigError(f"{name} must be a positive integer, got {v!r}")
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if type(f.default) is int and f.name != "seed" and not (_is_int(v) and v >= 1):
+                raise ConfigError(f"{f.name} must be a positive integer, got {v!r}")
         if self.mixer_kind not in MIXER_KINDS:
             raise ConfigError(
                 f"mixer_kind must be one of {MIXER_KINDS}, got {self.mixer_kind!r}"
@@ -170,49 +146,33 @@ class RunConfig:
             raise ConfigError(f"zero_weights must be a boolean, got {self.zero_weights!r}")
 
 
-_INT_FIELDS = {
-    "seed",
-    "T",
-    "d_model",
-    "num_heads",
-    "r",
-    "N",
-    "kernel_size",
-    "dilation_period",
-    "num_blocks",
-    "cases",
-    "bins",
-    "approx_seeds",
-    "repeats",
-    "bench_r",
-}
-_FLOAT_FIELDS = {"tol"}
-_TUPLE_FIELDS = {"r_values", "t_values"}
-_BOOL_FIELDS = {"zero_weights"}
-_OPTIONAL_FIELDS = {"preset", "qk_dump"}
-_FIELD_NAMES = tuple(f.name for f in fields(RunConfig))
+# each key's type is its default's: int, float, tuple of ints, bool, or
+# str, where a None default also accepts "none"
+_DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
+_FIELD_NAMES = tuple(_DEFAULTS)
 
 
 def _parse_value(name: str, text: str):
     text = text.strip()
+    default = _DEFAULTS[name]
     try:
-        if name in _INT_FIELDS:
+        if type(default) is int:
             return int(text, 0)
-        if name in _FLOAT_FIELDS:
+        if type(default) is float:
             return float(text)
-        if name in _TUPLE_FIELDS:
+        if type(default) is tuple:
             parts = [p.strip() for p in text.split(",") if p.strip()]
             if not parts:
                 raise ValueError("empty list")
             return tuple(int(p, 0) for p in parts)
-        if name in _BOOL_FIELDS:
+        if type(default) is bool:
             low = text.lower()
             if low in ("true", "1", "yes"):
                 return True
             if low in ("false", "0", "no"):
                 return False
             raise ValueError(f"not a boolean: {text!r}")
-        if name in _OPTIONAL_FIELDS and text.lower() == "none":
+        if default is None and text.lower() == "none":
             return None
         return text
     except ValueError as e:
@@ -290,50 +250,22 @@ def _out_path(cfg: RunConfig, name: str) -> Path:
     return out / name
 
 
-def _random_scan_params(rng: np.random.Generator, T: int, N: int) -> ScanParams:
-    # mixed magnitudes: per-instance scale in [0.1, 10] on top of
-    # standard normal entries
-    return ScanParams(
-        a=rng.uniform(0.05, 1.0, T),
-        b=rng.standard_normal((T, N)) * 10.0 ** rng.uniform(-1.0, 1.0),
-        c=rng.standard_normal((T, N)) * 10.0 ** rng.uniform(-1.0, 1.0),
-    )
-
-
 def _equiv_case_err(kind: str, rng: np.random.Generator, force_T: Optional[int]) -> float:
     if kind == "favor":
         T = force_T if force_T is not None else int(rng.integers(1, 17))
         d = int(rng.integers(1, 9))
-        scale = 1.0 / np.sqrt(d)
-        qkv = QkvTriple(
-            q=rng.standard_normal((T, d)) * scale,
-            k=rng.standard_normal((T, d)) * scale,
-            v=rng.standard_normal((T, d)),
-        )
+        qkv = _random_qkv(rng, T, d)
         omega = draw_orthogonal_features(d, int(rng.integers(1, 17)), int(rng.integers(0, 2**62)))
         direct = favor_attention(qkv, omega).data
         via_mixer = apply_mixer(favor_mixer(qkv.q, qkv.k, omega), FeatureSequence(qkv.v)).data
-        return float(np.max(np.abs(direct - via_mixer)))
-    T = force_T if force_T is not None else int(rng.integers(1, 33))
-    N = int(rng.integers(1, 9))
-    x = rng.standard_normal(T)
-    xs = FeatureSequence(x[:, None])
-    if kind == "ssm":
-        p = _random_scan_params(rng, T, N)
-        direct = ssm_scan(p, x)
-        via_mixer = apply_mixer(ssm_mixer(p), xs).data[:, 0]
-    elif kind == "bimamba":
-        p = BiMambaParams(_random_scan_params(rng, T, N), _random_scan_params(rng, T, N))
-        direct = bimamba_apply(p, x)
-        via_mixer = apply_mixer(bimamba_mixer(p), xs).data[:, 0]
     else:
-        p = HydraParams(
-            _random_scan_params(rng, T, N),
-            _random_scan_params(rng, T, N),
-            rng.standard_normal(T),
-        )
-        direct = hydra_apply(p, x)
-        via_mixer = apply_mixer(hydra_mixer(p), xs).data[:, 0]
+        draw, recurrence, mixer = _scan_kind(kind)
+        T = force_T if force_T is not None else int(rng.integers(1, 33))
+        N = int(rng.integers(1, 9))
+        x = rng.standard_normal(T)
+        p = draw(rng, T, N)
+        direct = recurrence(p, x)
+        via_mixer = apply_mixer(mixer(p), FeatureSequence(x[:, None])).data[:, 0]
     return float(np.max(np.abs(direct - via_mixer)))
 
 

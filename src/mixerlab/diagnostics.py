@@ -328,8 +328,8 @@ def approximation_error_curve(
 
 def default_windows(T: int) -> Tuple[int, ...]:
     """Window sweep for locality profiles: 0, powers of two, and T-1."""
-    if T < 1:
-        raise ValueError(f"T must be positive, got {T}")
+    if not (_is_int(T) and T >= 1):
+        raise ValueError(f"T must be a positive integer, got {T!r}")
     windows = {0, T - 1}
     w = 1
     while w < T - 1:

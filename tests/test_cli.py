@@ -8,23 +8,89 @@ import numpy as np
 import pytest
 
 from mixerlab import (
+    BiMambaParams,
     BlockStackConfig,
     FeatureSequence,
+    HydraParams,
+    QkvTriple,
+    ScanParams,
+    apply_mixer,
+    bimamba_apply,
+    bimamba_mixer,
+    draw_orthogonal_features,
+    favor_attention,
+    favor_mixer,
+    hydra_apply,
+    hydra_mixer,
     init_stack,
     layer_norm_apply,
     load_tensors,
     make_rng,
     save_tensors,
+    ssm_mixer,
+    ssm_scan,
     stack_forward,
     stack_from_tensors,
     with_zeroed_projections,
 )
-from mixerlab.cli import ConfigError, RunConfig, main, parse_config_file
+from mixerlab.cli import ConfigError, RunConfig, _equiv_case_err, main, parse_config_file
 
 
 def read_csv(path):
     with open(path, newline="", encoding="utf-8") as fh:
         return list(csv.reader(fh))
+
+
+def _random_scan_params_reference(rng, T, N):
+    """Decays in [0.05, 1], and b and c standard normal times a 10^U(-1, 1)
+    scale each."""
+    return ScanParams(
+        a=rng.uniform(0.05, 1.0, T),
+        b=rng.standard_normal((T, N)) * 10.0 ** rng.uniform(-1.0, 1.0),
+        c=rng.standard_normal((T, N)) * 10.0 ** rng.uniform(-1.0, 1.0),
+    )
+
+
+def _equiv_case_err_reference(kind, rng, force_T):
+    """One equiv case with each kind's draw and comparison spelled out:
+    T, then N or d, then the inputs, then the parameters, each hydra
+    drawing its forward, backward and diagonal parts in that order."""
+    if kind == "favor":
+        T = force_T if force_T is not None else int(rng.integers(1, 17))
+        d = int(rng.integers(1, 9))
+        scale = 1.0 / np.sqrt(d)
+        qkv = QkvTriple(
+            q=rng.standard_normal((T, d)) * scale,
+            k=rng.standard_normal((T, d)) * scale,
+            v=rng.standard_normal((T, d)),
+        )
+        omega = draw_orthogonal_features(d, int(rng.integers(1, 17)), int(rng.integers(0, 2**62)))
+        direct = favor_attention(qkv, omega).data
+        via_mixer = apply_mixer(favor_mixer(qkv.q, qkv.k, omega), FeatureSequence(qkv.v)).data
+        return float(np.max(np.abs(direct - via_mixer)))
+    T = force_T if force_T is not None else int(rng.integers(1, 33))
+    N = int(rng.integers(1, 9))
+    x = rng.standard_normal(T)
+    xs = FeatureSequence(x[:, None])
+    if kind == "ssm":
+        p = _random_scan_params_reference(rng, T, N)
+        direct = ssm_scan(p, x)
+        via_mixer = apply_mixer(ssm_mixer(p), xs).data[:, 0]
+    elif kind == "bimamba":
+        p = BiMambaParams(
+            _random_scan_params_reference(rng, T, N), _random_scan_params_reference(rng, T, N)
+        )
+        direct = bimamba_apply(p, x)
+        via_mixer = apply_mixer(bimamba_mixer(p), xs).data[:, 0]
+    else:
+        p = HydraParams(
+            _random_scan_params_reference(rng, T, N),
+            _random_scan_params_reference(rng, T, N),
+            rng.standard_normal(T),
+        )
+        direct = hydra_apply(p, x)
+        via_mixer = apply_mixer(hydra_mixer(p), xs).data[:, 0]
+    return float(np.max(np.abs(direct - via_mixer)))
 
 
 class TestRunConfig:
@@ -67,6 +133,13 @@ class TestRunConfig:
             RunConfig(tol=0.0)
         with pytest.raises(ConfigError):
             RunConfig(r_values=())
+
+    def test_first_bad_int_field_is_named(self):
+        """Positive-int fields are checked in field order."""
+        with pytest.raises(ConfigError, match="^T must be"):
+            RunConfig(bench_r=0, repeats=True, T=0)
+        with pytest.raises(ConfigError, match="^repeats must be"):
+            RunConfig(bench_r=0, repeats=True)
 
     def test_tol_checked_like_rank_tolerances(self):
         for tol in (True, False, float("nan"), float("inf"), -1e-9, "1e-9"):
@@ -162,6 +235,19 @@ class TestExitCodes:
 
 
 class TestEquivCommand:
+    @pytest.mark.parametrize("kind", ["ssm", "bimamba", "hydra", "favor"])
+    def test_cases_match_the_reference_draws_bit_for_bit(self, kind):
+        for seed in (0, 3, 42, 2**63 + 5):
+            got = make_rng(seed, 10)
+            ref = make_rng(seed, 10)
+            for case in range(12):
+                force_T = 1 if case % 4 == 0 else None
+                assert _equiv_case_err(kind, got, force_T) == _equiv_case_err_reference(
+                    kind, ref, force_T
+                )
+            # both generators must have consumed the same draws
+            assert got.integers(0, 2**62) == ref.integers(0, 2**62)
+
     def test_default_tolerance_passes(self, tmp_path, capsys):
         code = main(["equiv", "--cases", "25", "--out", str(tmp_path)])
         assert code == 0

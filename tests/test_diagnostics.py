@@ -501,6 +501,11 @@ class TestReportsAndCsv:
     def test_default_windows_T1(self):
         assert default_windows(1) == (0,)
 
+    @pytest.mark.parametrize("T", [4.5, True, 0, -3, "8", np.int64(8)])
+    def test_default_windows_needs_a_positive_int(self, T):
+        with pytest.raises(ValueError, match="positive integer"):
+            default_windows(T)
+
     def test_build_mixer_report_fields(self):
         rng = np.random.default_rng(16)
         m = dense(rng.standard_normal((8, 8)))
