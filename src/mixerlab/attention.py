@@ -118,14 +118,19 @@ class OrthogonalFeatureMatrix:
         if np.any(norms == 0.0):
             raise NumericRangeError("feature rows must have positive norm")
         unit = omega / norms[:, None]
-        for start in range(0, r, d):
-            block = unit[start : start + d]
-            gram = block @ block.T
-            off = gram - np.eye(block.shape[0])
-            if np.max(np.abs(off)) >= _ORTHO_TOL:
+        # the full blocks as one (r // d, d, d) stack, then the partial one
+        full = r - r % d
+        for base, stack in ((0, unit[:full].reshape(-1, d, d)), (full, unit[full:][None])):
+            if stack.size == 0:
+                continue
+            off = stack @ stack.transpose(0, 2, 1) - np.eye(stack.shape[1])
+            dev = np.max(np.abs(off), axis=(1, 2))
+            bad = np.flatnonzero(dev >= _ORTHO_TOL)
+            if bad.size:
+                start = base + int(bad[0]) * d
                 raise ValueError(
-                    f"rows {start}..{start + block.shape[0] - 1} are not orthogonal "
-                    f"(max deviation {np.max(np.abs(off)):.3e})"
+                    f"rows {start}..{start + stack.shape[1] - 1} are not orthogonal "
+                    f"(max deviation {dev[bad[0]]:.3e})"
                 )
         object.__setattr__(self, "omega", omega)
 
@@ -274,18 +279,18 @@ def draw_orthogonal_features(d_head: int, r: int, seed: int) -> OrthogonalFeatur
         if not _is_int(v) or v < 1:
             raise ValueError(f"{name} must be a positive integer, got {v!r}")
     rng = make_rng(seed)
-    rows = []
-    for start in range(0, r, d_head):
-        gauss = rng.standard_normal((d_head, d_head))
-        q_f, r_f = np.linalg.qr(gauss)
-        # sign-fix the QR so the orthogonal factor is Haar distributed;
-        # without it each direction is confined to a half sphere and the
-        # kernel estimator is biased
-        signs = np.where(np.diag(r_f) >= 0.0, 1.0, -1.0)
-        basis = (q_f * signs).T
-        rows.append(basis[: min(d_head, r - start)])
+    # one draw for every block: the same stream as one (d, d) draw each
+    blocks = -(-r // d_head)
+    q_f, r_f = np.linalg.qr(rng.standard_normal((blocks, d_head, d_head)))
+    # sign-fix the QR so the orthogonal factor is Haar distributed;
+    # without it each direction is confined to a half sphere and the
+    # kernel estimator is biased
+    signs = np.where(np.diagonal(r_f, axis1=1, axis2=2) >= 0.0, 1.0, -1.0)
+    basis = (q_f * signs[:, None, :]).transpose(0, 2, 1).reshape(-1, d_head)
     norms = np.sqrt(rng.chisquare(d_head, size=r))
-    omega = np.vstack(rows) * norms[:, None]
+    # column-major, as omega has always been laid out: a product with
+    # omega rounds by its layout, so this keeps every feature map bit for bit
+    omega = np.multiply(basis[:r], norms[:, None], order="F")
     return OrthogonalFeatureMatrix(omega=omega, seed=seed)
 
 
@@ -308,11 +313,13 @@ def positive_feature_map(
         raise ShapeError(
             f"x has width {x.shape[1]} but omega expects d_head={omega.d_head}"
         )
-    pre = x @ omega.omega.T - 0.5 * np.sum(x * x, axis=1, keepdims=True)
+    # one (T, r) buffer from the product to the result
+    out = x @ omega.omega.T
+    out -= 0.5 * np.sum(x * x, axis=1, keepdims=True)
     if stabilize:
-        pre -= pre.max()
+        out -= out.max()
     with np.errstate(over="ignore"):
-        out = np.exp(pre)
+        np.exp(out, out=out)
     if not np.all(np.isfinite(out)):
         raise NumericRangeError("feature map overflowed; inputs are too large")
     out /= np.sqrt(omega.r)
@@ -353,10 +360,21 @@ def favor_mixer(q, k, omega: OrthogonalFeatureMatrix) -> MatrixMixer:
     k = _as_float_array(k, "k", 2)
     if q.shape != k.shape:
         raise ShapeError(f"q and k must share one shape, got {q.shape} and {k.shape}")
+    return MatrixMixer(_favor_weights(q, k, omega), MixerClass.low_rank(omega.r))
+
+
+def _favor_weights(q, k, omega: OrthogonalFeatureMatrix, out=None) -> np.ndarray:
+    """The T x T map of :func:`favor_mixer`, not checked finite and not frozen.
+
+    Written into ``out`` when given (a C-contiguous (T, T) float64
+    buffer), else into a fresh array.
+    """
     fq = positive_feature_map(q, omega)
     fk = positive_feature_map(k, omega)
     den = _favor_normalizer(fq, fk)
-    return MatrixMixer((fq @ fk.T) / den[:, None], MixerClass.low_rank(omega.r))
+    out = np.matmul(fq, fk.T, out=out)
+    out /= den[:, None]
+    return out
 
 
 @functools.lru_cache(maxsize=4)

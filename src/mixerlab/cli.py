@@ -326,6 +326,16 @@ def _diagnose_heads(cfg: RunConfig):
     return pairs
 
 
+def _ranked_maps(pairs, build, ranks):
+    """Yield ``build(h, q, k)`` for each head, appending its numerical
+    rank to ``ranks`` first; no map is kept once the next is asked for."""
+    for h, (q, k) in enumerate(pairs):
+        mx = build(h, q, k)
+        ranks.append(numerical_rank(mx))
+        yield mx
+        del mx
+
+
 def cmd_diagnose(cfg: RunConfig) -> int:
     """Rank, row-distance, locality, and approximation reports as CSV.
 
@@ -334,28 +344,26 @@ def cmd_diagnose(cfg: RunConfig) -> int:
     writes rank_report.csv, l2_hist.csv, locality.csv, approx_curve.csv.
     """
     pairs = _diagnose_heads(cfg)
-    soft = [softmax_mixer(q, k) for q, k in pairs]
-    favor = [
-        favor_mixer(q, k, draw_orthogonal_features(q.shape[1], cfg.r, derive_seed(cfg.seed, 3, h)))
-        for h, (q, k) in enumerate(pairs)
-    ]
-    soft_mean = head_average(soft)
-    favor_mean = head_average(favor)
-
-    rank_rows = []
-    for h, (sm, fm) in enumerate(zip(soft, favor)):
-        d_head = pairs[h][0].shape[1]
-        rank_rows.append(("softmax", sm.T, d_head, None, numerical_rank(sm)))
-        rank_rows.append(("favor", fm.T, d_head, cfg.r, numerical_rank(fm)))
-    d_head = pairs[0][0].shape[1]
-    rank_rows.append(("softmax_mean", soft_mean.T, d_head, None, numerical_rank(soft_mean)))
-    rank_rows.append(("favor_mean", favor_mean.T, d_head, cfg.r, numerical_rank(favor_mean)))
+    T, d_head = pairs[0][0].shape
+    kinds = (
+        ("softmax", None, lambda h, q, k: softmax_mixer(q, k)),
+        ("favor", cfg.r, lambda h, q, k: favor_mixer(
+            q, k, draw_orthogonal_features(d_head, cfg.r, derive_seed(cfg.seed, 3, h)))),
+    )
+    head_rows, mean_rows, reports = [], [], []
+    # one kind at a time, one head at a time: each map is ranked and
+    # summed into its mean as it is built, and each mean is dropped once
+    # its report is made, so memory does not grow with num_heads
+    for kind, r, build in kinds:
+        rows = []
+        mean = head_average(_ranked_maps(pairs, build, rows))
+        head_rows.append([(kind, T, d_head, r, rank) for rank in rows])
+        mean_rows.append((f"{kind}_mean", T, d_head, r, numerical_rank(mean)))
+        reports.append((kind, build_mixer_report(mean, kind, bins=cfg.bins)))
+        del mean
+    # softmax h, favor h for each head, then the two means
+    rank_rows = [row for pair in zip(*head_rows) for row in pair] + mean_rows
     write_rank_report(_out_path(cfg, "rank_report.csv"), rank_rows)
-
-    reports = [
-        ("softmax", build_mixer_report(soft_mean, "softmax", bins=cfg.bins)),
-        ("favor", build_mixer_report(favor_mean, "favor", bins=cfg.bins)),
-    ]
     write_l2_hist(
         _out_path(cfg, "l2_hist.csv"), [(label, rep.l2_histogram) for label, rep in reports]
     )
@@ -372,8 +380,7 @@ def cmd_diagnose(cfg: RunConfig) -> int:
 
     for kind, _, d_or_n, r, rank in rank_rows:
         r_part = "" if r is None else f" r={r}"
-        print(f"[{kind}] T={cfg.T if cfg.qk_dump is None else pairs[0][0].shape[0]} "
-              f"d={d_or_n}{r_part} rank={rank}")
+        print(f"[{kind}] T={T} d={d_or_n}{r_part} rank={rank}")
     return 0
 
 

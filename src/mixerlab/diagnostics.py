@@ -17,11 +17,12 @@ from typing import Iterable, Optional, Sequence, Tuple
 import numpy as np
 
 from ._io import write_csv
-from .attention import draw_orthogonal_features, favor_mixer, softmax_mixer
+from .attention import _favor_weights, draw_orthogonal_features, softmax_mixer
 from .mixer_core import (
     DEFAULT_RANK_TOL,
     MatrixMixer,
     MixerClass,
+    NumericRangeError,
     _as_float_array,
     _check_tol,
     _is_int,
@@ -115,20 +116,35 @@ class MixerReport:
             raise ValueError("windows and locality lengths differ")
 
 
-def head_average(mixers: Sequence[MatrixMixer]) -> MatrixMixer:
+def head_average(mixers: Iterable[MatrixMixer]) -> MatrixMixer:
     """Elementwise mean of same-size mixers, tagged dense.
+
+    ``mixers`` may be any iterable, a generator included: it is read
+    once, in order, and only the running sum is kept, so averaging H
+    maps built one at a time holds two of them at once, not H. The sum
+    runs in input order (``s = first.copy(); s += next ...; s /= n``),
+    which is bit for bit ``np.mean(np.stack(maps), axis=0)``.
 
     Averaging does not preserve structural classes, so the result is
     always dense regardless of the inputs' tags.
     """
-    if len(mixers) == 0:
+    total = None
+    n = 0
+    for mx in mixers:
+        if total is None:
+            T = mx.T
+            total = mx.m.copy()
+        elif mx.T != T:
+            raise ValueError(f"mixer {n} is {mx.T}x{mx.T}, expected {T}x{T}")
+        else:
+            total += mx.m
+        n += 1
+        # not kept while a generator builds the next one
+        del mx
+    if total is None:
         raise ValueError("cannot average an empty list of mixers")
-    T = mixers[0].T
-    for i, mx in enumerate(mixers):
-        if mx.T != T:
-            raise ValueError(f"mixer {i} is {mx.T}x{mx.T}, expected {T}x{T}")
-    mean = np.mean(np.stack([mx.m for mx in mixers]), axis=0)
-    return MatrixMixer(mean, MixerClass.dense())
+    total /= n
+    return MatrixMixer(total, MixerClass.dense())
 
 
 def numerical_rank(mixer: MatrixMixer, tol: float = DEFAULT_RANK_TOL) -> int:
@@ -296,7 +312,7 @@ def locality_mass(mixer: MatrixMixer, window: int) -> float:
 
 
 def approximation_error_curve(
-    q, k, r_values: Sequence[int], seeds: Sequence[int]
+    q, k, r_values: Iterable[int], seeds: Iterable[int]
 ) -> Tuple[Tuple[int, float], ...]:
     """Median relative Frobenius error of the random-feature mixer vs
     the exact softmax mixer, per feature count.
@@ -305,24 +321,42 @@ def approximation_error_curve(
     median over seeds of ||favor - softmax||_F / ||softmax||_F. More
     features means lower estimator variance, so the curve should fall
     as r grows.
+
+    Every r must be a Python int >= 1 and every seed a Python int >= 0;
+    anything else raises ValueError before a feature matrix is drawn.
+    Each draw's map is written into one reused T x T buffer and checked
+    finite as :func:`~mixerlab.attention.favor_mixer` checks it, so
+    memory stays at the exact map plus that buffer, whatever the number
+    of draws. The errors are bit for bit those of building
+    ``favor_mixer(q, k, omega)`` for every draw.
     """
     q = _as_float_array(q, "q", 2)
     k = _as_float_array(k, "k", 2)
     if q.shape != k.shape:
         raise ValueError(f"q and k must share one shape, got {q.shape} and {k.shape}")
+    r_values, seeds = tuple(r_values), tuple(seeds)
     if len(r_values) == 0 or len(seeds) == 0:
         raise ValueError("r_values and seeds must be nonempty")
+    for r in r_values:
+        if not (_is_int(r) and r >= 1):
+            raise ValueError(f"r values must be positive integers, got {r!r}")
+    for seed in seeds:
+        if not (_is_int(seed) and seed >= 0):
+            raise ValueError(f"seeds must be nonnegative integers, got {seed!r}")
     exact = softmax_mixer(q, k).m
     ref = float(np.linalg.norm(exact))
     d = q.shape[1]
+    buf = np.empty_like(exact)
     table = []
     for r in r_values:
         errs = []
         for seed in seeds:
-            omega = draw_orthogonal_features(d, int(r), int(seed))
-            approx = favor_mixer(q, k, omega).m
-            errs.append(float(np.linalg.norm(approx - exact)) / ref)
-        table.append((int(r), float(np.median(errs))))
+            _favor_weights(q, k, draw_orthogonal_features(d, r, seed), out=buf)
+            if not np.all(np.isfinite(buf)):
+                raise NumericRangeError("m contains non-finite entries")
+            buf -= exact
+            errs.append(float(np.linalg.norm(buf)) / ref)
+        table.append((r, float(np.median(errs))))
     return tuple(table)
 
 

@@ -25,6 +25,7 @@ from mixerlab import (
     softmax_mixer,
 )
 from mixerlab.attention import _rope_tables
+from mixerlab.rng import make_rng
 
 
 def _softmax_rows_reference(logits):
@@ -58,6 +59,42 @@ def _rope_reference(x, base):
     out[:, 0::2] = cos * even - sin * odd
     out[:, 1::2] = sin * even + cos * odd
     return out
+
+
+def _orthogonal_features_reference(d_head, r, seed):
+    """draw_orthogonal_features with one (d, d) draw, QR and sign fix per
+    block, the blocks' transposed Q factors stacked with np.vstack."""
+    rng = make_rng(seed)
+    rows = []
+    for start in range(0, r, d_head):
+        q_f, r_f = np.linalg.qr(rng.standard_normal((d_head, d_head)))
+        signs = np.where(np.diag(r_f) >= 0.0, 1.0, -1.0)
+        rows.append((q_f * signs).T[: min(d_head, r - start)])
+    norms = np.sqrt(rng.chisquare(d_head, size=r))
+    return np.vstack(rows) * norms[:, None]
+
+
+def _positive_feature_map_reference(x, omega, stabilize):
+    """positive_feature_map in expression form, a fresh array per step."""
+    pre = x @ omega.omega.T - 0.5 * np.sum(x * x, axis=1, keepdims=True)
+    if stabilize:
+        pre = pre - pre.max()
+    return np.exp(pre) / np.sqrt(omega.r)
+
+
+def _orthogonality_message_reference(omega):
+    """The error the per-block orthogonality check raises, or None."""
+    r, d = omega.shape
+    unit = omega / np.linalg.norm(omega, axis=1)[:, None]
+    for start in range(0, r, d):
+        block = unit[start : start + d]
+        off = block @ block.T - np.eye(block.shape[0])
+        if np.max(np.abs(off)) >= 1e-10:
+            return (
+                f"rows {start}..{start + block.shape[0] - 1} are not orthogonal "
+                f"(max deviation {np.max(np.abs(off)):.3e})"
+            )
+    return None
 
 
 class TestSoftmaxAttention:
@@ -182,6 +219,31 @@ class TestOrthogonalFeatures:
         with pytest.raises(ValueError):
             OrthogonalFeatureMatrix(bad, seed=0)
 
+    @pytest.mark.parametrize("d, r", [(1, 1), (1, 5), (3, 7), (16, 16), (16, 1024), (64, 100)])
+    def test_batched_draw_matches_per_block_draws_bit_for_bit(self, d, r):
+        """Same values and the same column-major layout: a product with
+        omega rounds by its layout (at d=64, r=100 a row-major omega moves
+        phi in the last bits)."""
+        for seed in range(3):
+            om = draw_orthogonal_features(d, r, seed).omega
+            ref = _orthogonal_features_reference(d, r, seed)
+            assert np.array_equal(om, ref)
+            assert om.strides == ref.strides
+
+    @pytest.mark.parametrize("bad_rows", [(5, 6), (12, 13), (1, 9)])
+    def test_first_bad_block_is_named(self, bad_rows):
+        """A bad middle block (rows 4..7), a bad partial last block (rows
+        12..13) and two bad blocks at once: the message names the first
+        bad block's rows, as the per-block check does."""
+        omega = draw_orthogonal_features(4, 14, 3).omega.copy()
+        for i in bad_rows:
+            omega[i] += 0.01 * omega[i - 1]
+        expected = _orthogonality_message_reference(omega)
+        assert expected is not None
+        with pytest.raises(ValueError) as info:
+            OrthogonalFeatureMatrix(omega, seed=3)
+        assert str(info.value) == expected
+
 
 class TestPositiveFeatureMap:
     def test_output_shape_and_positivity(self):
@@ -253,6 +315,17 @@ class TestPositiveFeatureMap:
         x = np.array([[100.0, 0.0]])
         with pytest.raises(NumericRangeError):
             positive_feature_map(x, om, stabilize=False)
+
+    @pytest.mark.parametrize("stabilize", [True, False])
+    def test_matches_expression_form_bit_for_bit(self, stabilize):
+        rng = np.random.default_rng(12)
+        for d, r in [(1, 5), (3, 7), (16, 1024), (64, 100)]:
+            om = draw_orthogonal_features(d, r, d + r)
+            x = rng.standard_normal((37, d)) * 0.5
+            assert np.array_equal(
+                positive_feature_map(x, om, stabilize=stabilize),
+                _positive_feature_map_reference(x, om, stabilize),
+            )
 
     def test_feature_dim_mismatch_rejected(self):
         om = draw_orthogonal_features(3, 4, 0)

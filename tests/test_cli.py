@@ -3,6 +3,7 @@ subcommand behavior, output files, and exit codes."""
 
 import csv
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -282,6 +283,8 @@ class TestDiagnoseCommand:
         assert code == 0
         rows = read_csv(tmp_path / "rank_report.csv")
         assert rows[0] == ["mixer_kind", "T", "d_or_N", "r", "rank"]
+        kinds = [r[0] for r in rows[1:]]
+        assert kinds == ["softmax", "favor"] * 2 + ["softmax_mean", "favor_mean"]
         by_kind = {}
         for r in rows[1:]:
             by_kind.setdefault(r[0], []).append(r)
@@ -291,6 +294,26 @@ class TestDiagnoseCommand:
         for row in by_kind["favor"]:
             assert int(row[4]) <= 16
             assert int(row[3]) == 16
+
+    def test_memory_does_not_grow_with_num_heads(self, tmp_path, capsys):
+        """Each head's maps are ranked, summed into their mean and dropped,
+        so eight heads take less than one T x T map more than two heads.
+        With every head's maps held at once it was about 16 maps more."""
+        T = 256
+        peaks = {}
+        for heads in (2, 8):
+            tracemalloc.start()
+            try:
+                code = main(
+                    ["diagnose", "--T", str(T), "--d_model", "64", "--num_heads", str(heads),
+                     "--r", "16", "--approx_seeds", "1", "--r_values", "16",
+                     "--out", str(tmp_path)]
+                )
+                peaks[heads] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+        assert peaks[8] - peaks[2] < 8 * T * T
 
     def test_T1_gives_empty_histogram(self, tmp_path, capsys):
         code = main(

@@ -127,6 +127,20 @@ def oracle_locality(m, window):
     return float(np.mean(ratios))
 
 
+def approximation_error_curve_reference(q, k, r_values, seeds):
+    """The error curve with a fresh favor_mixer per draw and the error
+    ``norm(approx - exact) / norm(exact)`` taken on a new difference."""
+    exact = softmax_mixer(q, k).m
+    table = []
+    for r in r_values:
+        errs = []
+        for s in seeds:
+            approx = favor_mixer(q, k, draw_orthogonal_features(q.shape[1], r, s)).m
+            errs.append(float(np.linalg.norm(approx - exact)) / float(np.linalg.norm(exact)))
+        table.append((r, float(np.median(errs))))
+    return tuple(table)
+
+
 class TestHeadAverage:
     def test_single_mixer_is_itself(self):
         rng = np.random.default_rng(0)
@@ -157,6 +171,20 @@ class TestHeadAverage:
     def test_size_mismatch_rejected(self):
         with pytest.raises(ValueError):
             head_average([dense(np.eye(3)), dense(np.eye(4))])
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_equals_mean_of_stack_bit_for_bit(self, n):
+        rng = np.random.default_rng(20 + n)
+        ms = [rng.standard_normal((7, 7)) * 10.0 ** rng.uniform(-3, 3) for _ in range(n)]
+        ref = np.mean(np.stack(ms), axis=0)
+        assert np.array_equal(head_average([dense(m) for m in ms]).m, ref)
+        assert np.array_equal(head_average(dense(m) for m in ms).m, ref)
+
+    def test_generator_checks_are_kept(self):
+        with pytest.raises(ValueError, match="empty"):
+            head_average(dense(m) for m in [])
+        with pytest.raises(ValueError, match=r"mixer 2 is 4x4, expected 3x3"):
+            head_average(dense(m) for m in [np.eye(3), np.eye(3), np.eye(4)])
 
 
 class TestNumericalRank:
@@ -489,6 +517,30 @@ class TestApproximationErrorCurve:
                 np.linalg.norm(approx - ref) / np.linalg.norm(ref)
             )
         np.testing.assert_allclose(got, float(np.median(errors)), atol=1e-15)
+
+    def test_matches_per_draw_favor_mixers_bit_for_bit(self):
+        """At the size diagnose runs: T=512, d=16, r 16 and 1024."""
+        for seed in range(4):
+            rng = np.random.default_rng(300 + seed)
+            q = rng.standard_normal((512, 16)) / 4.0
+            k = rng.standard_normal((512, 16)) / 4.0
+            seeds = [seed, seed + 10]
+            got = approximation_error_curve(q, k, (16, 1024), seeds)
+            assert got == approximation_error_curve_reference(q, k, (16, 1024), seeds)
+
+    @pytest.mark.parametrize(
+        "r_values, seeds",
+        [([16.7], [1]), ([True], [1]), ([np.int64(8)], [1]), ([8, 0], [1]),
+         ([8], [1.9]), ([8], [True]), ([8], [-1]), ([8], [1, "2"])],
+    )
+    def test_non_integer_r_or_seed_refused_before_any_draw(self, monkeypatch, r_values, seeds):
+        drawn = []
+        monkeypatch.setattr(diagnostics, "draw_orthogonal_features",
+                            lambda *args: drawn.append(args))
+        q = np.ones((4, 2))
+        with pytest.raises(ValueError):
+            approximation_error_curve(q, q, r_values, seeds)
+        assert drawn == []
 
 
 class TestReportsAndCsv:
