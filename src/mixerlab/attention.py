@@ -32,10 +32,11 @@ from .mixer_core import (
     MixerClass,
     NumericRangeError,
     ShapeError,
+    _Frozen,
     _as_float_array,
-    _is_int,
+    _check_int,
+    _freeze,
     _is_real,
-    _reduce_through_init,
 )
 from .rng import make_rng
 
@@ -64,26 +65,19 @@ _ORTHO_TOL = 1e-10
 
 
 @dataclass(frozen=True)
-class QkvTriple:
+class QkvTriple(_Frozen):
     """Query, key, and value matrices of identical shape (T, d_head)."""
 
     q: np.ndarray
     k: np.ndarray
     v: np.ndarray
 
-    __reduce__ = _reduce_through_init
-
     def __post_init__(self) -> None:
-        q = _as_float_array(self.q, "q", 2)
-        k = _as_float_array(self.k, "k", 2)
-        v = _as_float_array(self.v, "v", 2)
+        q, k, v = _freeze(self, q=2, k=2, v=2)
         if not (q.shape == k.shape == v.shape):
             raise ShapeError(
                 f"q, k, v must share one shape, got {q.shape}, {k.shape}, {v.shape}"
             )
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "v", v)
 
     @property
     def T(self) -> int:
@@ -95,24 +89,23 @@ class QkvTriple:
 
 
 @dataclass(frozen=True)
-class OrthogonalFeatureMatrix:
+class OrthogonalFeatureMatrix(_Frozen):
     """An (r, d_head) random-feature matrix with blockwise-orthogonal rows.
 
     Rows are grouped in blocks of d_head consecutive rows (the last block
     may be shorter); within each block the directions are mutually
     orthogonal. Row norms are arbitrary positive values. Construction
     verifies the orthogonality claim, so holding one of these is proof
-    the draw was structured correctly. ``seed`` records the stream the
-    matrix was drawn from.
+    the draw was structured correctly. ``seed``, a Python int >= 0,
+    records the stream the matrix was drawn from.
     """
 
     omega: np.ndarray
     seed: int
 
-    __reduce__ = _reduce_through_init
-
     def __post_init__(self) -> None:
-        omega = _as_float_array(self.omega, "omega", 2)
+        (omega,) = _freeze(self, omega=2)
+        _check_int("seed", self.seed, 0)
         r, d = omega.shape
         norms = np.linalg.norm(omega, axis=1)
         if np.any(norms == 0.0):
@@ -132,7 +125,6 @@ class OrthogonalFeatureMatrix:
                     f"rows {start}..{start + stack.shape[1] - 1} are not orthogonal "
                     f"(max deviation {dev[bad[0]]:.3e})"
                 )
-        object.__setattr__(self, "omega", omega)
 
     @property
     def r(self) -> int:
@@ -155,8 +147,7 @@ class RopeConfig:
     base: float = 10000.0
 
     def __post_init__(self) -> None:
-        if not _is_int(self.d_head) or self.d_head < 2:
-            raise ValueError(f"d_head must be an integer >= 2, got {self.d_head!r}")
+        _check_int("d_head", self.d_head, 2)
         if self.d_head % 2 != 0:
             raise ValueError(f"rotary embedding needs an even d_head, got {self.d_head}")
         if not (_is_real(self.base) and self.base > 0):
@@ -171,10 +162,8 @@ class MultiHeadConfig:
     num_heads: int
 
     def __post_init__(self) -> None:
-        for name in ("d_model", "num_heads"):
-            v = getattr(self, name)
-            if not _is_int(v) or v < 1:
-                raise ValueError(f"{name} must be a positive integer, got {v!r}")
+        _check_int("d_model", self.d_model)
+        _check_int("num_heads", self.num_heads)
         if self.d_model % self.num_heads != 0:
             raise ShapeError(
                 f"d_model={self.d_model} is not divisible by num_heads={self.num_heads}"
@@ -186,7 +175,7 @@ class MultiHeadConfig:
 
 
 @dataclass(frozen=True)
-class MhaWeights:
+class MhaWeights(_Frozen):
     """Projection matrices for multi-head attention, all (d_model, d_model)."""
 
     wq: np.ndarray
@@ -194,20 +183,13 @@ class MhaWeights:
     wv: np.ndarray
     wo: np.ndarray
 
-    __reduce__ = _reduce_through_init
-
     def __post_init__(self) -> None:
-        mats = {}
-        for name in ("wq", "wk", "wv", "wo"):
-            m = _as_float_array(getattr(self, name), name, 2)
+        mats = _freeze(self, wq=2, wk=2, wv=2, wo=2)
+        for name, m in zip(("wq", "wk", "wv", "wo"), mats):
             if m.shape[0] != m.shape[1]:
                 raise ShapeError(f"{name} must be square, got shape {m.shape}")
-            mats[name] = m
-        first = mats["wq"].shape
-        for name, m in mats.items():
-            if m.shape != first:
-                raise ShapeError(f"{name} has shape {m.shape}, expected {first}")
-            object.__setattr__(self, name, m)
+            if m.shape != mats[0].shape:
+                raise ShapeError(f"{name} has shape {m.shape}, expected {mats[0].shape}")
 
     @property
     def d_model(self) -> int:
@@ -275,9 +257,8 @@ def draw_orthogonal_features(d_head: int, r: int, seed: int) -> OrthogonalFeatur
     marginally a standard Gaussian direction with the norm distribution
     of a d_head-dimensional Gaussian vector.
     """
-    for name, v in (("d_head", d_head), ("r", r)):
-        if not _is_int(v) or v < 1:
-            raise ValueError(f"{name} must be a positive integer, got {v!r}")
+    _check_int("d_head", d_head)
+    _check_int("r", r)
     rng = make_rng(seed)
     # one draw for every block: the same stream as one (d, d) draw each
     blocks = -(-r // d_head)

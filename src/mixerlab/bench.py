@@ -29,7 +29,7 @@ from .attention import (
     favor_attention,
     softmax_attention,
 )
-from .mixer_core import _is_int, _is_real
+from .mixer_core import _check_int, _is_int, _is_real
 from .rng import derive_seed, make_rng
 from .ssm import (
     BiMambaParams,
@@ -81,9 +81,7 @@ class BenchSample:
         if self.op_label not in OP_LABELS:
             raise ValueError(f"unknown op_label {self.op_label!r}")
         for name, lo in (("T", 1), ("d", 1), ("r_or_N", 0), ("repeats", 3)):
-            v = getattr(self, name)
-            if not _is_int(v) or v < lo:
-                raise ValueError(f"{name} must be an integer >= {lo}, got {v!r}")
+            _check_int(name, getattr(self, name), lo)
         if not (_is_real(self.wall_time) and self.wall_time > 0):
             raise ValueError(f"wall_time must be positive and finite, got {self.wall_time!r}")
 
@@ -179,8 +177,7 @@ def time_operation(
         raise ValueError(f"need at least 3 sequence lengths, got {len(ts)}")
     if any(b <= a for a, b in zip(ts, ts[1:])):
         raise ValueError(f"T_values must be strictly ascending, got {ts}")
-    if not _is_int(repeats) or repeats < 3:
-        raise ValueError(f"repeats must be an integer >= 3, got {repeats!r}")
+    _check_int("repeats", repeats, 3)
     samples = []
     for ti, T in enumerate(ts):
         thunk = _setup(op_label, T, d, r_or_N, seed, ti)

@@ -49,7 +49,7 @@ from .attention import (
     draw_orthogonal_features,
     multi_head_attention,
 )
-from .mixer_core import FeatureSequence, ShapeError, _as_float_array, _is_int, _reduce_through_init
+from .mixer_core import FeatureSequence, ShapeError, _as_float_array, _check_int, _freeze, _Frozen
 from .rng import derive_seed, make_rng
 from .ssm import SelectiveWeights, bimamba_channelwise, hydra_channelwise
 
@@ -102,7 +102,7 @@ def silu(x):
 
 
 @dataclass(frozen=True)
-class FfwWeights:
+class FfwWeights(_Frozen):
     """Position-wise feed-forward weights: d -> hidden -> d.
 
     The conventional hidden width is 4d (what :func:`init_stack` draws);
@@ -114,21 +114,14 @@ class FfwWeights:
     w2: np.ndarray
     b2: np.ndarray
 
-    __reduce__ = _reduce_through_init
-
     def __post_init__(self) -> None:
-        w1 = _as_float_array(self.w1, "w1", 2)
-        b1 = _as_float_array(self.b1, "b1", 1)
-        w2 = _as_float_array(self.w2, "w2", 2)
-        b2 = _as_float_array(self.b2, "b2", 1)
+        w1, b1, w2, b2 = _freeze(self, w1=2, b1=1, w2=2, b2=1)
         d, h = w1.shape
         if b1.shape != (h,) or w2.shape != (h, d) or b2.shape != (d,):
             raise ShapeError(
                 f"inconsistent ffw shapes: w1 {w1.shape}, b1 {b1.shape}, "
                 f"w2 {w2.shape}, b2 {b2.shape}"
             )
-        for name, val in (("w1", w1), ("b1", b1), ("w2", w2), ("b2", b2)):
-            object.__setattr__(self, name, val)
 
     @property
     def d(self) -> int:
@@ -147,7 +140,7 @@ def ffw_apply(x: FeatureSequence, w: FfwWeights) -> FeatureSequence:
 
 
 @dataclass(frozen=True)
-class DilatedConvWeights:
+class DilatedConvWeights(_Frozen):
     """Depthwise conv weights: one k-tap filter per channel, plus bias.
 
     ``kernel`` has shape (d, k); taps are spaced ``dilation`` frames
@@ -158,19 +151,13 @@ class DilatedConvWeights:
     dilation: int
     bias: np.ndarray
 
-    __reduce__ = _reduce_through_init
-
     def __post_init__(self) -> None:
-        kernel = _as_float_array(self.kernel, "kernel", 2)
-        bias = _as_float_array(self.bias, "bias", 1)
+        kernel, bias = _freeze(self, kernel=2, bias=1)
         if bias.shape[0] != kernel.shape[0]:
             raise ShapeError(
                 f"bias has length {bias.shape[0]}, kernel has {kernel.shape[0]} channels"
             )
-        if not _is_int(self.dilation) or self.dilation < 1:
-            raise ValueError(f"dilation must be a positive integer, got {self.dilation!r}")
-        object.__setattr__(self, "kernel", kernel)
-        object.__setattr__(self, "bias", bias)
+        _check_int("dilation", self.dilation)
 
     @property
     def d(self) -> int:
@@ -207,9 +194,8 @@ def dilated_dw_conv(x: FeatureSequence, w: DilatedConvWeights) -> FeatureSequenc
 
 def dilation_for_block(block_index: int, period: int) -> int:
     """Dilation schedule: doubles every ``period`` blocks, 2**(i // period)."""
-    for name, v, lo in (("block_index", block_index, 0), ("period", period, 1)):
-        if not _is_int(v) or v < lo:
-            raise ValueError(f"{name} must be an integer >= {lo}, got {v!r}")
+    _check_int("block_index", block_index, 0)
+    _check_int("period", period)
     return 2 ** (block_index // period)
 
 
@@ -257,8 +243,7 @@ class AttentionMixerConfig:
         return self.head_config.d_model
 
 
-def _check_selective_pair(fwd: SelectiveWeights, bwd: SelectiveWeights, out_proj):
-    out = _as_float_array(out_proj, "out_proj", 2)
+def _check_selective_pair(fwd: SelectiveWeights, bwd: SelectiveWeights, out: np.ndarray) -> None:
     if out.shape[0] != out.shape[1]:
         raise ShapeError(f"out_proj must be square, got {out.shape}")
     d = out.shape[0]
@@ -268,22 +253,19 @@ def _check_selective_pair(fwd: SelectiveWeights, bwd: SelectiveWeights, out_proj
         )
     if fwd.N != bwd.N:
         raise ShapeError(f"forward/backward state sizes differ: {fwd.N} vs {bwd.N}")
-    return out
 
 
 @dataclass(frozen=True)
-class BiMambaMixerConfig:
+class BiMambaMixerConfig(_Frozen):
     """Addition-combined bidirectional scan stage with output projection."""
 
     fwd: SelectiveWeights
     bwd: SelectiveWeights
     out_proj: np.ndarray
 
-    __reduce__ = _reduce_through_init
-
     def __post_init__(self) -> None:
-        out = _check_selective_pair(self.fwd, self.bwd, self.out_proj)
-        object.__setattr__(self, "out_proj", out)
+        (out,) = _freeze(self, out_proj=2)
+        _check_selective_pair(self.fwd, self.bwd, out)
 
     @property
     def d(self) -> int:
@@ -291,7 +273,7 @@ class BiMambaMixerConfig:
 
 
 @dataclass(frozen=True)
-class HydraMixerConfig:
+class HydraMixerConfig(_Frozen):
     """Shift-combined bidirectional scan stage with a per-channel diagonal
     gain and output projection."""
 
@@ -300,17 +282,13 @@ class HydraMixerConfig:
     diag_gain: np.ndarray
     out_proj: np.ndarray
 
-    __reduce__ = _reduce_through_init
-
     def __post_init__(self) -> None:
-        out = _check_selective_pair(self.fwd, self.bwd, self.out_proj)
-        gain = _as_float_array(self.diag_gain, "diag_gain", 1)
+        out, gain = _freeze(self, out_proj=2, diag_gain=1)
+        _check_selective_pair(self.fwd, self.bwd, out)
         if gain.shape[0] != out.shape[0]:
             raise ShapeError(
                 f"diag_gain has length {gain.shape[0]}, expected {out.shape[0]}"
             )
-        object.__setattr__(self, "out_proj", out)
-        object.__setattr__(self, "diag_gain", gain)
 
     @property
     def d(self) -> int:
@@ -364,7 +342,7 @@ def mixer_apply(x: FeatureSequence, config: MixerConfig) -> FeatureSequence:
 
 
 @dataclass(frozen=True)
-class DcHydraBlock:
+class DcHydraBlock(_Frozen):
     """One backbone block; all component widths must agree."""
 
     ffw_in: FfwWeights
@@ -374,16 +352,11 @@ class DcHydraBlock:
     norm_scale: np.ndarray
     norm_shift: np.ndarray
 
-    __reduce__ = _reduce_through_init
-
     def __post_init__(self) -> None:
-        scale = _as_float_array(self.norm_scale, "norm_scale", 1)
-        shift = _as_float_array(self.norm_shift, "norm_shift", 1)
-        d = self.ffw_in.d
-        mixer_d = self.mixer_config.d
+        scale, shift = _freeze(self, norm_scale=1, norm_shift=1)
         widths = {
             "ffw_in": self.ffw_in.d,
-            "mixer": mixer_d,
+            "mixer": self.mixer_config.d,
             "conv": self.conv.d,
             "ffw_out": self.ffw_out.d,
             "norm_scale": scale.shape[0],
@@ -391,8 +364,6 @@ class DcHydraBlock:
         }
         if len(set(widths.values())) != 1:
             raise ShapeError(f"block widths disagree: {widths}")
-        object.__setattr__(self, "norm_scale", scale)
-        object.__setattr__(self, "norm_shift", shift)
 
     @property
     def d(self) -> int:
@@ -427,9 +398,7 @@ class BlockStackConfig:
 
     def __post_init__(self) -> None:
         for name in ("d_model", "num_blocks", "dilation_period", "kernel_size"):
-            v = getattr(self, name)
-            if not _is_int(v) or v < 1:
-                raise ValueError(f"{name} must be a positive integer, got {v!r}")
+            _check_int(name, getattr(self, name))
         if self.mixer_kind not in MIXER_KINDS:
             raise ValueError(
                 f"mixer_kind must be one of {MIXER_KINDS}, got {self.mixer_kind!r}"

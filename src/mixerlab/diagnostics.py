@@ -23,11 +23,12 @@ from .mixer_core import (
     MatrixMixer,
     MixerClass,
     NumericRangeError,
+    _Frozen,
     _as_float_array,
+    _check_int,
     _check_tol,
-    _is_int,
+    _freeze,
     _rank_against,
-    _reduce_through_init,
     _singular_values,
 )
 
@@ -62,18 +63,25 @@ _SQUARE_LIMIT = 2.0**1020
 
 
 @dataclass(frozen=True)
-class Histogram:
-    """Binned nonnegative values: ascending edges, integer counts."""
+class Histogram(_Frozen):
+    """Binned nonnegative values: ascending edges, integer counts.
+
+    ``counts`` may be given as integers or integer-valued floats and is
+    stored as int64; ``total``, their sum, must be a Python int.
+    """
 
     bin_edges: np.ndarray
     counts: np.ndarray
     total: int
 
-    __reduce__ = _reduce_through_init
-
     def __post_init__(self) -> None:
-        edges = _as_float_array(self.bin_edges, "bin_edges", 1)
-        counts = np.array(self.counts, dtype=np.int64)
+        (edges,) = _freeze(self, bin_edges=1)
+        raw = np.asarray(self.counts)
+        whole = raw.dtype.kind in "iu" or (
+            raw.dtype.kind == "f" and np.all(np.isfinite(raw) & (raw == np.round(raw))))
+        if not whole:
+            raise ValueError(f"counts must be integer-valued, got {self.counts!r}")
+        counts = raw.astype(np.int64)
         if counts.ndim != 1:
             raise ValueError(f"counts must be 1-dimensional, got shape {counts.shape}")
         if edges.shape[0] != counts.shape[0] + 1:
@@ -84,14 +92,13 @@ class Histogram:
             raise ValueError("bin edges must be strictly increasing")
         if np.any(counts < 0):
             raise ValueError("counts must be nonnegative")
+        _check_int("total", self.total, 0)
         if int(counts.sum()) != self.total:
             raise ValueError(
                 f"counts sum to {int(counts.sum())} but total says {self.total}"
             )
         counts.flags.writeable = False
         object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "bin_edges", edges)
-        object.__setattr__(self, "total", int(self.total))
 
     @property
     def bins(self) -> int:
@@ -237,8 +244,7 @@ def pairwise_l2_histogram(mixer: MatrixMixer, bins: int = 50) -> Histogram:
     arithmetic. Work is done in row blocks, so transient memory stays
     near two floats per pair.
     """
-    if not _is_int(bins) or bins < 1:
-        raise ValueError(f"bins must be a positive integer, got {bins!r}")
+    _check_int("bins", bins)
     m = mixer.m
     T = mixer.T
     total = T * (T - 1) // 2
@@ -338,11 +344,9 @@ def approximation_error_curve(
     if len(r_values) == 0 or len(seeds) == 0:
         raise ValueError("r_values and seeds must be nonempty")
     for r in r_values:
-        if not (_is_int(r) and r >= 1):
-            raise ValueError(f"r values must be positive integers, got {r!r}")
+        _check_int("r", r)
     for seed in seeds:
-        if not (_is_int(seed) and seed >= 0):
-            raise ValueError(f"seeds must be nonnegative integers, got {seed!r}")
+        _check_int("seed", seed, 0)
     exact = softmax_mixer(q, k).m
     ref = float(np.linalg.norm(exact))
     d = q.shape[1]
@@ -362,8 +366,7 @@ def approximation_error_curve(
 
 def default_windows(T: int) -> Tuple[int, ...]:
     """Window sweep for locality profiles: 0, powers of two, and T-1."""
-    if not (_is_int(T) and T >= 1):
-        raise ValueError(f"T must be a positive integer, got {T!r}")
+    _check_int("T", T)
     windows = {0, T - 1}
     w = 1
     while w < T - 1:

@@ -61,6 +61,10 @@ class NumericRangeError(ValueError):
 
 
 def _as_float_array(arr, name: str, ndim: int) -> np.ndarray:
+    """A read-only float64 copy of ``arr``, checked ``ndim``-dimensional,
+    non-empty, real and finite."""
+    if np.iscomplexobj(arr):
+        raise NumericRangeError(f"{name} must be real, got complex entries")
     out = np.array(arr, dtype=np.float64)
     if out.ndim != ndim:
         raise ShapeError(f"{name} must be {ndim}-dimensional, got shape {out.shape}")
@@ -72,20 +76,41 @@ def _as_float_array(arr, name: str, ndim: int) -> np.ndarray:
     return out
 
 
-def _reduce_through_init(self):
-    """``__reduce__`` shared by the frozen containers that hold arrays.
+class _Frozen:
+    """Base of the frozen dataclasses that hold arrays.
 
-    Their constructors copy and freeze every array, but the default
-    dataclass copy and pickle paths skip the constructor and give
-    writeable arrays. Rebuilding through the constructor makes the arrays
-    read-only private copies again, and nothing cached on the original
-    carries over.
+    Their constructors copy and freeze every array with :func:`_freeze`,
+    but the default dataclass copy and pickle paths skip the constructor
+    and give writeable arrays. Rebuilding through the constructor makes
+    the arrays read-only private copies again, and nothing cached on the
+    original carries over.
     """
-    return (type(self), tuple(getattr(self, f.name) for f in fields(self)))
+
+    def __reduce__(self):
+        return (type(self), tuple(getattr(self, f.name) for f in fields(self)))
+
+
+def _freeze(obj, **ndims) -> tuple:
+    """Replace each named array field of the frozen ``obj`` by its
+    :func:`_as_float_array` copy with the given ndim, in argument order,
+    and return the copies in that order."""
+    arrays = []
+    for name, ndim in ndims.items():
+        arr = _as_float_array(getattr(obj, name), name, ndim)
+        object.__setattr__(obj, name, arr)
+        arrays.append(arr)
+    return tuple(arrays)
+
+
+def _check_int(name: str, v, lo: int = 1) -> None:
+    """Raise ValueError unless ``v`` is a Python int, not a bool, >= ``lo``."""
+    if not _is_int(v) or v < lo:
+        need = "a positive integer" if lo == 1 else f"an integer >= {lo}"
+        raise ValueError(f"{name} must be {need}, got {v!r}")
 
 
 @dataclass(frozen=True)
-class FeatureSequence:
+class FeatureSequence(_Frozen):
     """A length-T sequence of d-dimensional real feature frames.
 
     ``data`` has shape (T, d); it is copied on construction, checked
@@ -95,10 +120,8 @@ class FeatureSequence:
 
     data: np.ndarray
 
-    __reduce__ = _reduce_through_init
-
     def __post_init__(self) -> None:
-        object.__setattr__(self, "data", _as_float_array(self.data, "data", 2))
+        _freeze(self, data=2)
 
     @property
     def T(self) -> int:
@@ -157,19 +180,16 @@ class MixerClass:
 
 
 @dataclass(frozen=True)
-class MatrixMixer:
+class MatrixMixer(_Frozen):
     """A square mixing matrix together with its claimed structural class."""
 
     m: np.ndarray
     class_tag: MixerClass
 
-    __reduce__ = _reduce_through_init
-
     def __post_init__(self) -> None:
-        m = _as_float_array(self.m, "m", 2)
+        (m,) = _freeze(self, m=2)
         if m.shape[0] != m.shape[1]:
             raise ShapeError(f"mixing matrix must be square, got shape {m.shape}")
-        object.__setattr__(self, "m", m)
         if not isinstance(self.class_tag, MixerClass):
             raise TypeError(f"class_tag must be a MixerClass, got {type(self.class_tag).__name__}")
 

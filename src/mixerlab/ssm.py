@@ -56,10 +56,11 @@ from .mixer_core import (
     MixerClass,
     NumericRangeError,
     ShapeError,
+    _Frozen,
     _as_float_array,
+    _freeze,
     _is_int,
     _is_real,
-    _reduce_through_init,
 )
 
 __all__ = [
@@ -81,7 +82,7 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class ScanParams:
+class ScanParams(_Frozen):
     """Per-step scan parameters: decays ``a`` (T,), inputs ``b`` (T, N),
     readouts ``c`` (T, N), and the step sizes ``delta`` (T,) that
     produced them.
@@ -97,12 +98,8 @@ class ScanParams:
     c: np.ndarray
     delta: Optional[np.ndarray] = None
 
-    __reduce__ = _reduce_through_init
-
     def __post_init__(self) -> None:
-        a = _as_float_array(self.a, "a", 1)
-        b = _as_float_array(self.b, "b", 2)
-        c = _as_float_array(self.c, "c", 2)
+        a, b, c = _freeze(self, a=1, b=2, c=2)
         T = a.shape[0]
         if b.shape[0] != T or c.shape[0] != T:
             raise ShapeError(
@@ -113,16 +110,12 @@ class ScanParams:
         if np.any(a <= 0.0) or np.any(a > 1.0):
             raise NumericRangeError("decays a must lie in (0, 1]")
         if self.delta is None:
-            delta = np.ones(T)
-            delta.flags.writeable = False
-        else:
-            delta = _as_float_array(self.delta, "delta", 1)
-            if delta.shape[0] != T:
-                raise ShapeError(f"delta has length {delta.shape[0]}, expected {T}")
-            if np.any(delta <= 0.0):
-                raise NumericRangeError("step sizes delta must be positive")
-        for name, val in (("a", a), ("b", b), ("c", c), ("delta", delta)):
-            object.__setattr__(self, name, val)
+            object.__setattr__(self, "delta", np.ones(T))
+        (delta,) = _freeze(self, delta=1)
+        if delta.shape[0] != T:
+            raise ShapeError(f"delta has length {delta.shape[0]}, expected {T}")
+        if np.any(delta <= 0.0):
+            raise NumericRangeError("step sizes delta must be positive")
 
     @property
     def T(self) -> int:
@@ -134,7 +127,7 @@ class ScanParams:
 
 
 @dataclass(frozen=True)
-class SelectiveWeights:
+class SelectiveWeights(_Frozen):
     """Weights mapping an input sequence to scan parameters.
 
     ``w_delta`` (d,) and ``bias`` produce the step size, ``w_b`` and
@@ -149,12 +142,8 @@ class SelectiveWeights:
     w_c: np.ndarray
     a_log: float
 
-    __reduce__ = _reduce_through_init
-
     def __post_init__(self) -> None:
-        w_delta = _as_float_array(self.w_delta, "w_delta", 1)
-        w_b = _as_float_array(self.w_b, "w_b", 2)
-        w_c = _as_float_array(self.w_c, "w_c", 2)
+        w_delta, w_b, w_c = _freeze(self, w_delta=1, w_b=2, w_c=2)
         if w_b.shape != w_c.shape:
             raise ShapeError(
                 f"w_b and w_c must share one shape, got {w_b.shape} and {w_c.shape}"
@@ -167,9 +156,6 @@ class SelectiveWeights:
             v = getattr(self, name)
             if not _is_real(v):
                 raise NumericRangeError(f"{name} must be a finite number, got {v!r}")
-        object.__setattr__(self, "w_delta", w_delta)
-        object.__setattr__(self, "w_b", w_b)
-        object.__setattr__(self, "w_c", w_c)
         object.__setattr__(self, "bias", float(self.bias))
         object.__setattr__(self, "a_log", float(self.a_log))
 
@@ -210,23 +196,20 @@ class BiMambaParams:
 
 
 @dataclass(frozen=True)
-class HydraParams:
+class HydraParams(_Frozen):
     """Forward and backward scans plus a free diagonal ``diag_delta`` (T,)."""
 
     fwd: ScanParams
     bwd: ScanParams
     diag_delta: np.ndarray
 
-    __reduce__ = _reduce_through_init
-
     def __post_init__(self) -> None:
         _check_pair(self.fwd, self.bwd)
-        diag = _as_float_array(self.diag_delta, "diag_delta", 1)
+        (diag,) = _freeze(self, diag_delta=1)
         if diag.shape[0] != self.fwd.T:
             raise ShapeError(
                 f"diag_delta has length {diag.shape[0]}, expected {self.fwd.T}"
             )
-        object.__setattr__(self, "diag_delta", diag)
 
     @property
     def T(self) -> int:
@@ -238,13 +221,9 @@ class HydraParams:
 
 
 def _as_signal(x, T: int) -> np.ndarray:
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ShapeError(f"x must be 1-dimensional, got shape {x.shape}")
+    x = _as_float_array(x, "x", 1)
     if x.shape[0] != T:
         raise ShapeError(f"x has length {x.shape[0]}, params expect {T}")
-    if not np.all(np.isfinite(x)):
-        raise NumericRangeError("x contains non-finite entries")
     return x
 
 

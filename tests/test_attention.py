@@ -219,6 +219,11 @@ class TestOrthogonalFeatures:
         with pytest.raises(ValueError):
             OrthogonalFeatureMatrix(bad, seed=0)
 
+    @pytest.mark.parametrize("seed", ["abc", -1, True, 1.0, np.int64(1)])
+    def test_container_seed_is_a_nonnegative_python_int(self, seed):
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            OrthogonalFeatureMatrix(np.eye(2), seed=seed)
+
     @pytest.mark.parametrize("d, r", [(1, 1), (1, 5), (3, 7), (16, 16), (16, 1024), (64, 100)])
     def test_batched_draw_matches_per_block_draws_bit_for_bit(self, d, r):
         """Same values and the same column-major layout: a product with

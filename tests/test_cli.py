@@ -3,11 +3,16 @@ subcommand behavior, output files, and exit codes."""
 
 import csv
 import hashlib
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mixerlab
 from mixerlab import (
     BiMambaParams,
     BlockStackConfig,
@@ -218,6 +223,19 @@ class TestExitCodes:
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
+
+    def test_python_dash_m_mixerlab_runs_main_without_warnings(self):
+        """``python -m mixerlab`` runs the command line in a fresh process
+        and writes nothing to stderr."""
+        src = str(Path(mixerlab.__file__).parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-m", "mixerlab", "--help"],
+            capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert proc.stdout.startswith("usage: mixerlab")
 
     def test_unknown_flag_is_usage_error(self, capsys):
         assert main(["equiv", "--frobnicate", "1"]) == 2

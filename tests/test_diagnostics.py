@@ -425,6 +425,17 @@ class TestPairwiseHistogram:
                 total=2,
             )
 
+    @pytest.mark.parametrize("counts, total", [
+        ([1.7], 1), ([True], 1), (["1"], 1), ([1], True), ([1], 1.0), ([1], np.int64(1)),
+    ])
+    def test_histogram_counts_and_total_must_be_integers(self, counts, total):
+        with pytest.raises(ValueError, match="counts must be integer-valued|total must be"):
+            Histogram(np.array([0.0, 1.0]), np.array(counts), total)
+
+    def test_histogram_stores_integer_valued_float_counts_as_int64(self):
+        h = Histogram(np.array([0.0, 1.0, 2.0]), np.array([2.0, 0.0]), 2)
+        assert h.counts.dtype == np.int64 and h.counts.tolist() == [2, 0]
+
 
 class TestLocalityMass:
     def test_identity_window_zero(self):

@@ -14,10 +14,13 @@ from mixerlab import (
     FeatureSequence,
     MatrixMixer,
     MixerClass,
+    NumericRangeError,
     QkvTriple,
+    RopeConfig,
     ShapeError,
     StructureReport,
     apply_mixer,
+    apply_rope,
     check_structure,
     init_stack,
     pairwise_l2_histogram,
@@ -197,6 +200,19 @@ class TestFeatureSequence:
             x.data[0, 0] = 5.0
 
 
+@pytest.mark.parametrize("build", [
+    FeatureSequence,
+    lambda z: ScanParams(a=np.full(2, 0.5), b=z, c=np.ones((2, 2))),
+    lambda z: apply_rope(z, RopeConfig(d_head=2)),
+], ids=["FeatureSequence", "ScanParams", "apply_rope"])
+def test_complex_arrays_are_refused(build):
+    """A float cast would drop the imaginary part with only a warning, so
+    complex input is refused, even with every imaginary part zero."""
+    for z in (np.array([[1 + 1j, 2], [3, 4]]), np.ones((2, 2), dtype=complex)):
+        with pytest.raises(NumericRangeError, match="must be real"):
+            build(z)
+
+
 class TestMixerClass:
     def test_dense_has_no_order(self):
         c = MixerClass.dense()
@@ -297,6 +313,37 @@ def arrays_of(obj, path="obj"):
     elif isinstance(obj, tuple):
         for i, item in enumerate(obj):
             yield from arrays_of(item, f"{path}[{i}]")
+
+
+def rebuilt_from_copies(obj, inputs):
+    """``obj`` rebuilt through its constructors from writable copies of
+    every array it holds; the copies are appended to ``inputs``."""
+    if isinstance(obj, np.ndarray):
+        inputs.append(np.array(obj))
+        return inputs[-1]
+    if dataclasses.is_dataclass(obj):
+        return type(obj)(*(rebuilt_from_copies(getattr(obj, f.name), inputs)
+                           for f in dataclasses.fields(obj)))
+    if isinstance(obj, tuple):
+        return tuple(rebuilt_from_copies(item, inputs) for item in obj)
+    return obj
+
+
+@pytest.mark.parametrize("name", sorted(frozen_containers()))
+def test_overwriting_constructor_inputs_leaves_containers_unchanged(name):
+    """Every container keeps private copies: a caller that writes to the
+    arrays it passed in changes nothing the container holds."""
+    original = frozen_containers()[name]
+    inputs = []
+    twin = rebuilt_from_copies(original, inputs)
+    assert inputs and all(a.flags.writeable for a in inputs)
+    for a in inputs:
+        a += 1
+    before, after = dict(arrays_of(original)), dict(arrays_of(twin))
+    assert before.keys() == after.keys()
+    for path, arr in after.items():
+        assert np.array_equal(arr, before[path]), path
+        assert not any(np.shares_memory(arr, a) for a in inputs), path
 
 
 @pytest.mark.parametrize(
