@@ -50,6 +50,7 @@ from .attention import (
     multi_head_attention,
 )
 from .mixer_core import FeatureSequence, ShapeError, _as_float_array, _check_int, _freeze, _Frozen
+from .mixer_core import _real_array
 from .rng import derive_seed, make_rng
 from .ssm import SelectiveWeights, bimamba_channelwise, hydra_channelwise
 
@@ -405,27 +406,17 @@ class BlockStackConfig:
             )
 
     @classmethod
-    def preset(
-        cls,
-        name: str,
-        mixer_kind: str = "hydra",
-        dilation_period: int = 4,
-        kernel_size: int = 7,
-    ) -> "BlockStackConfig":
+    def preset(cls, name: str, **rest) -> "BlockStackConfig":
         """Named stack shapes: 'latent-denoiser' (8 blocks at width 256)
-        and 'token-generator' (12 blocks at width 512)."""
+        and 'token-generator' (12 blocks at width 512). Keywords set the
+        other fields (mixer_kind, dilation_period, kernel_size); the rest
+        keep their dataclass defaults."""
         if name not in cls._PRESETS:
             raise ValueError(
                 f"unknown preset {name!r}; expected one of {sorted(cls._PRESETS)}"
             )
         d_model, num_blocks = cls._PRESETS[name]
-        return cls(
-            d_model=d_model,
-            num_blocks=num_blocks,
-            dilation_period=dilation_period,
-            kernel_size=kernel_size,
-            mixer_kind=mixer_kind,
-        )
+        return cls(d_model=d_model, num_blocks=num_blocks, **rest)
 
     def dilations(self) -> Tuple[int, ...]:
         return tuple(
@@ -698,7 +689,8 @@ def save_tensors(path, tensors: Mapping[str, np.ndarray]) -> None:
     tensor (offsets into the payload, insertion order), a blank line,
     then the little-endian float64 payload. Names must be non-empty and
     contain no whitespace; tensors must be at least 1-dimensional
-    (store scalars as shape-(1,) arrays).
+    (store scalars as shape-(1,) arrays) and real, checked before any
+    file is written. Non-finite values are kept: they load back exactly.
     """
     lines = [TENSOR_MAGIC]
     blobs = []
@@ -706,10 +698,10 @@ def save_tensors(path, tensors: Mapping[str, np.ndarray]) -> None:
     for name, arr in tensors.items():
         if not name or any(ch.isspace() for ch in name):
             raise ValueError(f"invalid tensor name {name!r}")
-        a = np.asarray(arr, dtype=np.float64)
+        a = _real_array(arr, f"tensor {name!r}")
         if a.ndim < 1:
             raise ValueError(f"tensor {name!r} must be at least 1-dimensional")
-        blob = np.ascontiguousarray(a).astype("<f8", copy=False).tobytes()
+        blob = np.ascontiguousarray(a, dtype="<f8").tobytes()
         shape = "x".join(str(s) for s in a.shape)
         lines.append(f"{name} {shape} {offset}")
         blobs.append(blob)

@@ -35,11 +35,11 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from ._io import write_csv
-from .attention import draw_orthogonal_features, favor_attention, favor_mixer, softmax_mixer
+from .attention import MultiHeadConfig, draw_orthogonal_features, favor_attention, favor_mixer
+from .attention import softmax_mixer
 from .bench import OP_LABELS, fit_loglog_slope, time_operation, write_bench_csv, write_scaling_csv
 from .bench import _random_qkv, _scan_kind
 from .blocks import (
-    MIXER_KINDS,
     BlockStackConfig,
     block_forward,
     init_stack,
@@ -58,7 +58,7 @@ from .diagnostics import (
     write_locality,
     write_rank_report,
 )
-from .mixer_core import FeatureSequence, _check_tol, _is_int, apply_mixer
+from .mixer_core import FeatureSequence, _check_int, _check_tol, _is_int, apply_mixer
 from .rng import derive_seed, make_rng
 
 __all__ = [
@@ -83,6 +83,7 @@ class RunConfig:
     ``preset`` forces d_model/num_blocks to the named stack shape.
     ``r`` is the feature count used by diagnose/demo; ``bench_r`` the
     one used by the bench sweep. ``tol`` gates the equiv suites.
+    Values are checked by the library rules they feed, as ConfigError.
     """
 
     seed: int = 42
@@ -109,41 +110,38 @@ class RunConfig:
     zero_weights: bool = False
 
     def __post_init__(self) -> None:
-        if self.preset is not None:
-            try:
-                shape = BlockStackConfig.preset(self.preset)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from None
-            object.__setattr__(self, "d_model", shape.d_model)
-            object.__setattr__(self, "num_blocks", shape.num_blocks)
-        if not _is_int(self.seed) or not 0 <= self.seed < 2**64:
-            raise ConfigError(f"seed must be a 64-bit nonnegative integer, got {self.seed!r}")
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if type(f.default) is int and f.name != "seed" and not (_is_int(v) and v >= 1):
-                raise ConfigError(f"{f.name} must be a positive integer, got {v!r}")
-        if self.mixer_kind not in MIXER_KINDS:
-            raise ConfigError(
-                f"mixer_kind must be one of {MIXER_KINDS}, got {self.mixer_kind!r}"
-            )
         try:
+            if self.preset is not None:
+                shape = BlockStackConfig.preset(self.preset)
+                object.__setattr__(self, "d_model", shape.d_model)
+                object.__setattr__(self, "num_blocks", shape.num_blocks)
+            if not _is_int(self.seed) or not 0 <= self.seed < 2**64:
+                raise ValueError(f"seed must be a 64-bit nonnegative integer, got {self.seed!r}")
+            for f in fields(self):
+                if type(f.default) is int and f.name != "seed":
+                    _check_int(f.name, getattr(self, f.name))
+            self.stack_config()  # refuses an unknown mixer_kind
             _check_tol(self.tol)
+            for name in ("r_values", "t_values"):
+                vals = getattr(self, name)
+                if not isinstance(vals, tuple) or len(vals) == 0:
+                    raise ValueError(f"{name} must be a nonempty tuple of integers")
+                for i, v in enumerate(vals):
+                    _check_int(f"{name}[{i}]", v)
+            if not isinstance(self.output_dir, str) or not self.output_dir:
+                raise ValueError(f"output_dir must be a nonempty path, got {self.output_dir!r}")
+            if self.qk_dump is not None and not (isinstance(self.qk_dump, str) and self.qk_dump):
+                raise ValueError(f"qk_dump must be a path, got {self.qk_dump!r}")
+            if not isinstance(self.zero_weights, bool):
+                raise ValueError(f"zero_weights must be a boolean, got {self.zero_weights!r}")
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        for name in ("r_values", "t_values"):
-            vals = getattr(self, name)
-            if not isinstance(vals, tuple) or len(vals) == 0:
-                raise ConfigError(f"{name} must be a nonempty tuple of integers")
-            if any(not _is_int(v) or v < 1 for v in vals):
-                raise ConfigError(f"{name} entries must be positive integers, got {vals!r}")
-        if not isinstance(self.output_dir, str) or not self.output_dir:
-            raise ConfigError(f"output_dir must be a nonempty path, got {self.output_dir!r}")
-        if self.qk_dump is not None and (
-            not isinstance(self.qk_dump, str) or not self.qk_dump
-        ):
-            raise ConfigError(f"qk_dump must be a path, got {self.qk_dump!r}")
-        if not isinstance(self.zero_weights, bool):
-            raise ConfigError(f"zero_weights must be a boolean, got {self.zero_weights!r}")
+
+    def stack_config(self) -> BlockStackConfig:
+        """The stack shape ``demo`` builds, checked by :class:`BlockStackConfig`."""
+        return BlockStackConfig(
+            self.d_model, self.num_blocks, self.dilation_period, self.kernel_size, self.mixer_kind
+        )
 
 
 # each key's type is its default's: int, float, tuple of ints, bool, or
@@ -235,13 +233,7 @@ def resolve_config(ns: argparse.Namespace) -> RunConfig:
         env = os.environ.get("MIXERLAB_OUT")
         if env:
             raw["output_dir"] = env
-    typed = {k: _parse_value(k, v) for k, v in raw.items()}
-    try:
-        return RunConfig(**typed)
-    except ConfigError:
-        raise
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
+    return RunConfig(**{k: _parse_value(k, v) for k, v in raw.items()})
 
 
 def _out_path(cfg: RunConfig, name: str) -> Path:
@@ -301,18 +293,11 @@ def _diagnose_heads(cfg: RunConfig):
         for name in ("q", "k"):
             if name not in tensors:
                 raise ConfigError(f"{cfg.qk_dump}: dump must contain tensor {name!r}")
-        q, k = tensors["q"], tensors["k"]
-        if q.ndim != 2 or q.shape != k.shape:
-            raise ConfigError(
-                f"{cfg.qk_dump}: q and k must be 2-d with equal shapes, "
-                f"got {q.shape} and {k.shape}"
-            )
-        return [(q, k)]
-    if cfg.d_model % cfg.num_heads != 0:
-        raise ConfigError(
-            f"d_model={cfg.d_model} is not divisible by num_heads={cfg.num_heads}"
-        )
-    d_head = cfg.d_model // cfg.num_heads
+        for name in tensors:
+            if name not in ("q", "k"):
+                raise ConfigError(f"{cfg.qk_dump}: dump must hold only q and k, got {name!r}")
+        return [(tensors["q"], tensors["k"])]
+    d_head = MultiHeadConfig(cfg.d_model, cfg.num_heads).d_head
     scale = 1.0 / np.sqrt(d_head)
     pairs = []
     for h in range(cfg.num_heads):
@@ -344,25 +329,27 @@ def cmd_diagnose(cfg: RunConfig) -> int:
     writes rank_report.csv, l2_hist.csv, locality.csv, approx_curve.csv.
     """
     pairs = _diagnose_heads(cfg)
-    T, d_head = pairs[0][0].shape
     kinds = (
         ("softmax", None, lambda h, q, k: softmax_mixer(q, k)),
         ("favor", cfg.r, lambda h, q, k: favor_mixer(
-            q, k, draw_orthogonal_features(d_head, cfg.r, derive_seed(cfg.seed, 3, h)))),
+            q, k, draw_orthogonal_features(q.shape[1], cfg.r, derive_seed(cfg.seed, 3, h)))),
     )
     head_rows, mean_rows, reports = [], [], []
     # one kind at a time, one head at a time: each map is ranked and
     # summed into its mean as it is built, and each mean is dropped once
     # its report is made, so memory does not grow with num_heads
     for kind, r, build in kinds:
-        rows = []
-        mean = head_average(_ranked_maps(pairs, build, rows))
-        head_rows.append([(kind, T, d_head, r, rank) for rank in rows])
-        mean_rows.append((f"{kind}_mean", T, d_head, r, numerical_rank(mean)))
+        ranks = []
+        mean = head_average(_ranked_maps(pairs, build, ranks))
+        head_rows.append([(kind, r, rank) for rank in ranks])
+        mean_rows.append((f"{kind}_mean", r, numerical_rank(mean)))
         reports.append((kind, build_mixer_report(mean, kind, bins=cfg.bins)))
         del mean
+    # softmax_mixer has checked every q and k by now
+    T, d_head = pairs[0][0].shape
     # softmax h, favor h for each head, then the two means
-    rank_rows = [row for pair in zip(*head_rows) for row in pair] + mean_rows
+    rows = [row for pair in zip(*head_rows) for row in pair] + mean_rows
+    rank_rows = [(kind, T, d_head, r, rank) for kind, r, rank in rows]
     write_rank_report(_out_path(cfg, "rank_report.csv"), rank_rows)
     write_l2_hist(
         _out_path(cfg, "l2_hist.csv"), [(label, rep.l2_histogram) for label, rep in reports]
@@ -421,20 +408,10 @@ def cmd_demo(cfg: RunConfig) -> int:
     ``zero_weights`` every stage projection is zeroed, so each block
     reduces to layer_norm of its input.
     """
-    stack_cfg = BlockStackConfig(
-        d_model=cfg.d_model,
-        num_blocks=cfg.num_blocks,
-        dilation_period=cfg.dilation_period,
-        kernel_size=cfg.kernel_size,
-        mixer_kind=cfg.mixer_kind,
-    )
+    stack_cfg = cfg.stack_config()
     use_rope = True
     if cfg.mixer_kind in ("softmax", "favor"):
-        if cfg.d_model % cfg.num_heads != 0:
-            raise ConfigError(
-                f"d_model={cfg.d_model} is not divisible by num_heads={cfg.num_heads}"
-            )
-        use_rope = (cfg.d_model // cfg.num_heads) % 2 == 0
+        use_rope = MultiHeadConfig(cfg.d_model, cfg.num_heads).d_head % 2 == 0
     blocks = init_stack(
         stack_cfg,
         cfg.seed,
@@ -474,21 +451,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     try:
         ns = parser.parse_args(argv)
+        if not ns.command:
+            parser.print_usage(sys.stderr)
+            return 2
+        return _COMMANDS[ns.command](resolve_config(ns))
     except SystemExit as e:
+        # argparse exits 0 for --help and 2 on a usage error
         return 0 if e.code in (None, 0) else 2
-    if not ns.command:
-        parser.print_usage(sys.stderr)
-        return 2
-    try:
-        cfg = resolve_config(ns)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
-        print(f"I/O error: {e}", file=sys.stderr)
-        return 3
-    try:
-        return _COMMANDS[ns.command](cfg)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

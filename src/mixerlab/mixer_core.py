@@ -60,12 +60,24 @@ class NumericRangeError(ValueError):
     """A numeric value is non-finite or outside its permitted range."""
 
 
+def _real_array(arr, name: str) -> np.ndarray:
+    """``arr`` as an array of real numbers (bools count, as in numpy).
+
+    Complex, string, bytes and other entries raise NumericRangeError,
+    where a float cast would drop the imaginary part with a warning,
+    parse the text, or fail with a TypeError inside an object array."""
+    a = np.asarray(arr)
+    if a.dtype.kind not in "biuf" and not (
+        a.dtype.kind == "O" and all(isinstance(v, numbers.Real) for v in a.flat)
+    ):
+        raise NumericRangeError(f"{name} must be real, got dtype {a.dtype}")
+    return a
+
+
 def _as_float_array(arr, name: str, ndim: int) -> np.ndarray:
     """A read-only float64 copy of ``arr``, checked ``ndim``-dimensional,
     non-empty, real and finite."""
-    if np.iscomplexobj(arr):
-        raise NumericRangeError(f"{name} must be real, got complex entries")
-    out = np.array(arr, dtype=np.float64)
+    out = np.array(_real_array(arr, name), dtype=np.float64)
     if out.ndim != ndim:
         raise ShapeError(f"{name} must be {ndim}-dimensional, got shape {out.shape}")
     if out.size == 0:

@@ -12,6 +12,7 @@ from mixerlab import (
     DilatedConvWeights,
     FeatureSequence,
     FfwWeights,
+    NumericRangeError,
     block_forward,
     derive_seed,
     dilated_dw_conv,
@@ -382,6 +383,11 @@ class TestStack:
         with pytest.raises(ValueError):
             BlockStackConfig.preset("nonexistent")
 
+    def test_preset_takes_the_dataclass_defaults(self):
+        assert BlockStackConfig.preset("latent-denoiser") == BlockStackConfig(256, 8)
+        cfg = BlockStackConfig.preset("token-generator", mixer_kind="favor", kernel_size=3)
+        assert cfg == BlockStackConfig(512, 12, kernel_size=3, mixer_kind="favor")
+
     def test_validate_stack_rejects_wrong_count(self):
         cfg = BlockStackConfig(d_model=6, num_blocks=2, kernel_size=3)
         blocks = init_stack(cfg, 3, state_size=4)
@@ -481,6 +487,21 @@ class TestTensorContainer:
         path.write_bytes(head + b"\n\n" + bytes(range(payload_bytes)))
         with pytest.raises(ValueError):
             load_tensors(path)
+
+    @pytest.mark.parametrize("value", [
+        np.array([1 + 2j, 3]), np.array(["1.5"]), np.array([1.0, 1j], dtype=object),
+    ], ids=["complex", "str", "object-complex"])
+    def test_non_real_tensors_refused_and_nothing_written(self, tmp_path, value):
+        path = tmp_path / "t.bin"
+        with pytest.raises(NumericRangeError, match="tensor 'w' must be real"):
+            save_tensors(path, {"ok": np.zeros(2), "w": value})
+        assert not path.exists()
+
+    def test_non_finite_values_round_trip(self, tmp_path):
+        path = tmp_path / "t.bin"
+        values = np.array([np.inf, -np.inf, np.nan, 1.5])
+        save_tensors(path, {"w": values})
+        assert np.array_equal(load_tensors(path)["w"], values, equal_nan=True)
 
     def test_whitespace_in_name_rejected(self, tmp_path):
         with pytest.raises(ValueError):

@@ -147,6 +147,11 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="^repeats must be"):
             RunConfig(bench_r=0, repeats=True)
 
+    def test_list_entries_must_be_positive_integers(self):
+        for kw in ({"r_values": (0,)}, {"t_values": (4, -1)}, {"r_values": (2, True)}):
+            with pytest.raises(ConfigError):
+                RunConfig(**kw)
+
     def test_tol_checked_like_rank_tolerances(self):
         for tol in (True, False, float("nan"), float("inf"), -1e-9, "1e-9"):
             with pytest.raises(ConfigError, match="tol must be a positive finite number"):
@@ -245,6 +250,11 @@ class TestExitCodes:
 
     def test_missing_config_file_is_io_error(self, tmp_path, capsys):
         assert main(["equiv", "--config", str(tmp_path / "absent.cfg")]) == 3
+
+    def test_unknown_mixer_kind_exits_2_for_every_command(self, tmp_path, capsys):
+        assert main(["equiv", "--mixer_kind", "bogus", "--out", str(tmp_path)]) == 2
+        assert "bogus" in capsys.readouterr().err
+        assert not (tmp_path / "equiv.csv").exists()
 
     def test_missing_dump_file_is_io_error(self, tmp_path, capsys):
         code = main(
@@ -390,6 +400,33 @@ class TestDiagnoseCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("q, k, shown", [
+        (np.zeros(4), np.zeros(4), "(4,)"),
+        (np.zeros((4, 2)), np.zeros((4, 3)), "(4, 3)"),
+        (np.zeros((4, 2)), np.zeros((5, 2)), "(5, 2)"),
+    ], ids=["1-d", "widths-differ", "lengths-differ"])
+    def test_dump_with_bad_shapes_exits_2(self, tmp_path, capsys, q, k, shown):
+        save_tensors(tmp_path / "qk.bin", {"q": q, "k": k})
+        code = main(
+            ["diagnose", "--qk_dump", str(tmp_path / "qk.bin"), "--out", str(tmp_path)]
+        )
+        assert code == 2
+        assert shown in capsys.readouterr().err
+        assert not (tmp_path / "rank_report.csv").exists()
+
+    @pytest.mark.parametrize("extra", ["v", "block0.ffw_in.w1"])
+    def test_dump_holds_exactly_q_and_k(self, tmp_path, capsys, extra):
+        """Like the stack loader, the dump refuses tensors it would not read,
+        naming the first."""
+        qk = {"q": np.zeros((4, 2)), "k": np.zeros((4, 2))}
+        save_tensors(tmp_path / "qk.bin", {**qk, extra: np.zeros((4, 2)), "z": np.zeros(1)})
+        code = main(
+            ["diagnose", "--qk_dump", str(tmp_path / "qk.bin"), "--out", str(tmp_path)]
+        )
+        assert code == 2
+        assert repr(extra) in capsys.readouterr().err
+        assert not (tmp_path / "rank_report.csv").exists()
+
 
 class TestBenchCommand:
     def test_small_sweep_writes_both_csvs(self, tmp_path, capsys):
@@ -461,6 +498,16 @@ class TestDemoCommand:
         y = stack_forward(x, cfg, blocks).data
         checksum = hashlib.sha256(np.ascontiguousarray(y).tobytes()).hexdigest()
         assert read_csv(tmp_path / "demo.csv")[-1][3] == checksum
+
+    @pytest.mark.parametrize("kind", ["softmax", "favor"])
+    def test_indivisible_heads_rejected(self, tmp_path, capsys, kind):
+        code = main(
+            ["demo", "--mixer_kind", kind, "--d_model", "6", "--num_heads", "4",
+             "--T", "4", "--num_blocks", "1", "--out", str(tmp_path)]
+        )
+        assert code == 2
+        assert "d_model=6 is not divisible by num_heads=4" in capsys.readouterr().err
+        assert not (tmp_path / "demo.csv").exists()
 
     def test_token_generator_preset_logs_dilation_schedule(self, tmp_path, capsys):
         code = main(

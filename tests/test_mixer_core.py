@@ -213,6 +213,28 @@ def test_complex_arrays_are_refused(build):
             build(z)
 
 
+@pytest.mark.parametrize("build", [
+    FeatureSequence,
+    lambda z: apply_rope(z, RopeConfig(d_head=2)),
+], ids=["FeatureSequence", "apply_rope"])
+@pytest.mark.parametrize("z", [
+    np.array([[1 + 1j, 2], [3, 4]], dtype=object),
+    np.array([["1", "2"], ["3", "4"]]),
+    np.array([[b"1", b"2"], [b"3", b"4"]]),
+    [["1.5", "2"], ["3", "4"]],
+], ids=["object-complex", "str", "bytes", "str-list"])
+def test_non_numbers_are_refused(build, z):
+    """A float cast would parse text and fail inside an object array with a
+    TypeError, so every entry must already be a real number."""
+    with pytest.raises(NumericRangeError, match="must be real"):
+        build(z)
+
+
+def test_object_arrays_of_real_numbers_are_accepted():
+    z = np.array([[1, 2.5], [np.float32(3), True]], dtype=object)
+    assert FeatureSequence(z).data.tolist() == [[1.0, 2.5], [3.0, 1.0]]
+
+
 class TestMixerClass:
     def test_dense_has_no_order(self):
         c = MixerClass.dense()
