@@ -32,6 +32,7 @@ from .mixer_core import (
     MixerClass,
     NumericRangeError,
     ShapeError,
+    _Fresh,
     _Frozen,
     _as_float_array,
     _check_int,
@@ -231,7 +232,7 @@ def softmax_attention(qkv: QkvTriple) -> FeatureSequence:
         np.matmul(q[lo:hi], kt, out=buf[:n])
         _row_softmax(buf[:n], col[:n])
         np.matmul(buf[:n], v, out=out[lo:hi])
-    return FeatureSequence(out)
+    return FeatureSequence(_Fresh(out))
 
 
 def softmax_mixer(q, k) -> MatrixMixer:
@@ -244,7 +245,7 @@ def softmax_mixer(q, k) -> MatrixMixer:
     k = _as_float_array(k, "k", 2)
     if q.shape != k.shape:
         raise ShapeError(f"q and k must share one shape, got {q.shape} and {k.shape}")
-    return MatrixMixer(_row_softmax(q @ k.T), MixerClass.dense())
+    return MatrixMixer(_Fresh(_row_softmax(q @ k.T)), MixerClass.dense())
 
 
 def draw_orthogonal_features(d_head: int, r: int, seed: int) -> OrthogonalFeatureMatrix:
@@ -328,7 +329,7 @@ def favor_attention(qkv: QkvTriple, omega: OrthogonalFeatureMatrix) -> FeatureSe
     fk = positive_feature_map(qkv.k, omega)
     den = _favor_normalizer(fq, fk)
     out = (fq @ (fk.T @ qkv.v)) / den[:, None]
-    return FeatureSequence(out)
+    return FeatureSequence(_Fresh(out))
 
 
 def favor_mixer(q, k, omega: OrthogonalFeatureMatrix) -> MatrixMixer:
@@ -341,7 +342,7 @@ def favor_mixer(q, k, omega: OrthogonalFeatureMatrix) -> MatrixMixer:
     k = _as_float_array(k, "k", 2)
     if q.shape != k.shape:
         raise ShapeError(f"q and k must share one shape, got {q.shape} and {k.shape}")
-    return MatrixMixer(_favor_weights(q, k, omega), MixerClass.low_rank(omega.r))
+    return MatrixMixer(_Fresh(_favor_weights(q, k, omega)), MixerClass.low_rank(omega.r))
 
 
 def _favor_weights(q, k, omega: OrthogonalFeatureMatrix, out=None) -> np.ndarray:
@@ -436,9 +437,9 @@ def multi_head_attention(
     Projects x to Q, K, V, splits heads as contiguous d_head slices,
     optionally applies rotary embeddings to each head's Q and K, runs
     softmax or random-feature attention per head (``kind`` selects),
-    concatenates, and applies the output projection. ``omegas`` supplies
-    one feature matrix per head and is required exactly when
-    ``kind == "favor"``.
+    writes each head into its slice of one array, and applies the output
+    projection. ``omegas`` supplies one feature matrix per head and is
+    required exactly when ``kind == "favor"``.
     """
     omegas = _check_attention_args(kind, weights, config, rope, omegas)
     if x.d != config.d_model:
@@ -448,16 +449,15 @@ def multi_head_attention(
     big_k = x.data @ weights.wk
     big_v = x.data @ weights.wv
     dh = config.d_head
-    heads = []
+    heads = np.empty_like(big_v)
     for h in range(config.num_heads):
         sl = slice(h * dh, (h + 1) * dh)
         q, k, v = big_q[:, sl], big_k[:, sl], big_v[:, sl]
         if rope is not None:
-            q = apply_rope(q, rope)
-            k = apply_rope(k, rope)
+            q, k = _Fresh(apply_rope(q, rope)), _Fresh(apply_rope(k, rope))
         qkv = QkvTriple(q, k, v)
         if kind == "softmax":
-            heads.append(softmax_attention(qkv).data)
+            heads[:, sl] = softmax_attention(qkv).data
         else:
-            heads.append(favor_attention(qkv, omegas[h]).data)
-    return FeatureSequence(np.concatenate(heads, axis=1) @ weights.wo)
+            heads[:, sl] = favor_attention(qkv, omegas[h]).data
+    return FeatureSequence(_Fresh(heads @ weights.wo))

@@ -49,8 +49,8 @@ from .attention import (
     draw_orthogonal_features,
     multi_head_attention,
 )
-from .mixer_core import FeatureSequence, ShapeError, _as_float_array, _check_int, _freeze, _Frozen
-from .mixer_core import _real_array
+from .mixer_core import FeatureSequence, ShapeError, _as_float_array, _check_int, _freeze, _Fresh
+from .mixer_core import _Frozen, _real_array
 from .rng import derive_seed, make_rng
 from .ssm import SelectiveWeights, bimamba_channelwise, hydra_channelwise
 
@@ -88,16 +88,25 @@ LAYER_NORM_EPS = 1e-5
 TENSOR_MAGIC = "MIXERLAB-TENSORS 1"
 MIXER_KINDS = ("hydra", "bimamba", "favor", "softmax")
 
+# rows per block of ffw_apply's in-place SiLU scratch; moves no result bit
+_SILU_ROWS = 256
+
+
+def _sigmoid(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write sigmoid(x) = (1 + tanh(x / 2)) / 2 into ``out``, overflow-free."""
+    np.multiply(0.5, x, out=out)
+    np.tanh(out, out=out)
+    out += 1.0
+    out *= 0.5
+    return out
+
 
 def silu(x):
     """Sigmoid-weighted linear unit, x * sigmoid(x), overflow-free."""
     x = np.asarray(x, dtype=np.float64)
     # one fresh array, updated in place; an explicit ``out`` keeps a 0-d
     # input an array, where ``0.5 * x`` would give a numpy scalar
-    t = np.multiply(0.5, x, out=np.empty_like(x))
-    np.tanh(t, out=t)
-    t += 1.0
-    t *= 0.5
+    t = _sigmoid(x, np.empty_like(x))
     t *= x
     return t if t.ndim else t[()]
 
@@ -135,9 +144,15 @@ def ffw_apply(x: FeatureSequence, w: FfwWeights) -> FeatureSequence:
         raise ShapeError(f"sequence width {x.d} != ffw width {w.d}")
     h = x.data @ w.w1
     h += w.b1
-    out = silu(h) @ w.w2
+    # silu(h) in place, block by block through one scratch array; the
+    # same ops as silu, and h *= t rounds as t *= h
+    t = np.empty((min(_SILU_ROWS, x.T), h.shape[1]))
+    for lo in range(0, x.T, _SILU_ROWS):
+        block = h[lo : lo + _SILU_ROWS]
+        block *= _sigmoid(block, t[: block.shape[0]])
+    out = h @ w.w2
     out += w.b2
-    return FeatureSequence(out)
+    return FeatureSequence(_Fresh(out))
 
 
 @dataclass(frozen=True)
@@ -190,7 +205,7 @@ def dilated_dw_conv(x: FeatureSequence, w: DilatedConvWeights) -> FeatureSequenc
         if t0 < t1:
             out[t0:t1] += data[t0 + offset : t1 + offset] * w.kernel[:, tap]
     out += w.bias
-    return FeatureSequence(out)
+    return FeatureSequence(_Fresh(out))
 
 
 def dilation_for_block(block_index: int, period: int) -> int:
@@ -215,8 +230,11 @@ def layer_norm_apply(x: FeatureSequence, scale, shift) -> FeatureSequence:
     mu = x.data.mean(axis=1, keepdims=True)
     centered = x.data - mu
     var = np.mean(centered * centered, axis=1, keepdims=True)
-    normed = centered / np.sqrt(var + LAYER_NORM_EPS)
-    return FeatureSequence(normed * scale + shift)
+    # divide, scale and shift in place: centered becomes the output
+    centered /= np.sqrt(var + LAYER_NORM_EPS)
+    centered *= scale
+    centered += shift
+    return FeatureSequence(_Fresh(centered))
 
 
 @dataclass(frozen=True)
@@ -335,10 +353,10 @@ def mixer_apply(x: FeatureSequence, config: MixerConfig) -> FeatureSequence:
         )
     if isinstance(config, HydraMixerConfig):
         mixed = hydra_channelwise(x, config.fwd, config.bwd, config.diag_gain)
-        return FeatureSequence(mixed.data @ config.out_proj)
+        return FeatureSequence(_Fresh(mixed.data @ config.out_proj))
     if isinstance(config, BiMambaMixerConfig):
         mixed = bimamba_channelwise(x, config.fwd, config.bwd)
-        return FeatureSequence(mixed.data @ config.out_proj)
+        return FeatureSequence(_Fresh(mixed.data @ config.out_proj))
     raise TypeError(f"not a mixer config: {type(config).__name__}")
 
 
@@ -375,11 +393,12 @@ def block_forward(x: FeatureSequence, block: DcHydraBlock) -> FeatureSequence:
     """Apply one block: see the module docstring for the stage order."""
     if x.d != block.d:
         raise ShapeError(f"sequence width {x.d} != block width {block.d}")
+    # each residual sum is a fresh array, adopted by the next stage's input
     y = x.data + ffw_apply(x, block.ffw_in).data
-    y = y + mixer_apply(FeatureSequence(y), block.mixer_config).data
-    y = y + silu(dilated_dw_conv(FeatureSequence(y), block.conv).data)
-    y = y + ffw_apply(FeatureSequence(y), block.ffw_out).data
-    return layer_norm_apply(FeatureSequence(y), block.norm_scale, block.norm_shift)
+    y = y + mixer_apply(FeatureSequence(_Fresh(y)), block.mixer_config).data
+    y = y + silu(dilated_dw_conv(FeatureSequence(_Fresh(y)), block.conv).data)
+    y = y + ffw_apply(FeatureSequence(_Fresh(y)), block.ffw_out).data
+    return layer_norm_apply(FeatureSequence(_Fresh(y)), block.norm_scale, block.norm_shift)
 
 
 @dataclass(frozen=True)
@@ -546,11 +565,12 @@ def _draw_block(cfg: BlockStackConfig, i: int, seed: int, num_heads, feature_cou
 
 
 def _build_block(
-    cfg: BlockStackConfig, i: int, tensors, read: set, seed: int,
+    cfg: BlockStackConfig, i: int, tensors, read: set, fresh: bool, seed: int,
     num_heads: int, feature_count: int, use_rope: bool, rope_base: float,
 ) -> DcHydraBlock:
-    """Block i of a ``cfg`` stack from named tensors; adds to ``read``
-    each name it takes."""
+    """Block i of a ``cfg`` stack from named tensors, adopted when ``fresh``
+    (see :class:`_Fresh`); adds to ``read`` each name it takes."""
+    own = _Fresh if fresh else np.asarray
 
     def take(part, names):
         keys = [f"block{i:02d}.{part}.{n}" for n in names]
@@ -574,27 +594,29 @@ def _build_block(
                         f"match its seed; wrong seed for this container?"
                     )
         rope = RopeConfig(heads.d_head, rope_base) if use_rope else None
-        mixer = AttentionMixerConfig(kind, MhaWeights(*take("mixer", _MHA)), heads, rope, omegas)
+        weights = MhaWeights(*map(own, take("mixer", _MHA)))
+        mixer = AttentionMixerConfig(kind, weights, heads, rope, omegas)
     else:
         sides = (take(f"mixer.{side}", _SELECTIVE) for side in ("fwd", "bwd"))
-        fwd, bwd = (SelectiveWeights(w, b.item(), wb, wc, a.item()) for w, b, wb, wc, a in sides)
+        fwd, bwd = (SelectiveWeights(own(w), b.item(), own(wb), own(wc), a.item())
+                    for w, b, wb, wc, a in sides)
         config_type, names = _SCAN_MIXERS[kind]
-        mixer = config_type(fwd, bwd, *take("mixer", names))
-    kernel, bias = take("conv", _CONV)
+        mixer = config_type(fwd, bwd, *map(own, take("mixer", names)))
+    kernel, bias = map(own, take("conv", _CONV))
     conv = DilatedConvWeights(kernel, dilation_for_block(i, cfg.dilation_period), bias)
-    ffw_in, ffw_out = (FfwWeights(*take(part, _FFW)) for part in ("ffw_in", "ffw_out"))
-    return DcHydraBlock(ffw_in, mixer, conv, ffw_out, *take("norm", _NORM))
+    ffw_in, ffw_out = (FfwWeights(*map(own, take(part, _FFW))) for part in ("ffw_in", "ffw_out"))
+    return DcHydraBlock(ffw_in, mixer, conv, ffw_out, *map(own, take("norm", _NORM)))
 
 
-def _build_stack(cfg: BlockStackConfig, block_tensors, seed: int, *block_args):
-    """Build a ``cfg`` stack block by block from ``block_tensors(i)``. A
-    tensor that no block reads raises ValueError naming the first one, and
-    the blocks must pass :func:`validate_stack`."""
+def _build_stack(cfg: BlockStackConfig, block_tensors, fresh: bool, *block_args):
+    """Build a ``cfg`` stack block by block from ``block_tensors(i)``, adopted
+    when ``fresh``. A tensor that no block reads raises ValueError naming
+    the first one, and the blocks must pass :func:`validate_stack`."""
     offered, read, blocks = {}, set(), []
     for i in range(cfg.num_blocks):
         tensors = block_tensors(i)
         offered.update(dict.fromkeys(tensors))
-        blocks.append(_build_block(cfg, i, tensors, read, seed, *block_args))
+        blocks.append(_build_block(cfg, i, tensors, read, fresh, *block_args))
     unread = [name for name in offered if name not in read]
     if unread:
         raise ValueError(
@@ -627,7 +649,8 @@ def init_stack(
     def draw(i):
         return _draw_block(cfg, i, seed, num_heads, feature_count, state_size)
 
-    return _build_stack(cfg, draw, seed, num_heads, feature_count, use_rope, rope_base)
+    # the drawn tensors are this call's own, so the blocks adopt them
+    return _build_stack(cfg, draw, True, seed, num_heads, feature_count, use_rope, rope_base)
 
 
 def stack_to_tensors(blocks: Sequence[DcHydraBlock]) -> dict:
@@ -678,7 +701,7 @@ def stack_from_tensors(
     ValueError.
     """
     return _build_stack(
-        cfg, lambda i: tensors, seed, num_heads, feature_count, use_rope, rope_base
+        cfg, lambda i: tensors, False, seed, num_heads, feature_count, use_rope, rope_base
     )
 
 

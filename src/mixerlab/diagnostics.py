@@ -23,6 +23,7 @@ from .mixer_core import (
     MatrixMixer,
     MixerClass,
     NumericRangeError,
+    _Fresh,
     _Frozen,
     _as_float_array,
     _check_int,
@@ -151,7 +152,7 @@ def head_average(mixers: Iterable[MatrixMixer]) -> MatrixMixer:
     if total is None:
         raise ValueError("cannot average an empty list of mixers")
     total /= n
-    return MatrixMixer(total, MixerClass.dense())
+    return MatrixMixer(_Fresh(total), MixerClass.dense())
 
 
 def numerical_rank(mixer: MatrixMixer, tol: float = DEFAULT_RANK_TOL) -> int:

@@ -74,10 +74,10 @@ def _real_array(arr, name: str) -> np.ndarray:
     return a
 
 
-def _as_float_array(arr, name: str, ndim: int) -> np.ndarray:
-    """A read-only float64 copy of ``arr``, checked ``ndim``-dimensional,
-    non-empty, real and finite."""
-    out = np.array(_real_array(arr, name), dtype=np.float64)
+def _as_float_array(arr, name: str, ndim: int, adopt: bool = False) -> np.ndarray:
+    """A read-only float64 copy of ``arr`` (with ``adopt``, ``arr`` itself),
+    checked ``ndim``-dimensional, non-empty, real and finite."""
+    out = arr if adopt else np.array(_real_array(arr, name), dtype=np.float64)
     if out.ndim != ndim:
         raise ShapeError(f"{name} must be {ndim}-dimensional, got shape {out.shape}")
     if out.size == 0:
@@ -88,14 +88,23 @@ def _as_float_array(arr, name: str, ndim: int) -> np.ndarray:
     return out
 
 
+@dataclass(frozen=True)
+class _Fresh:
+    """An array the package has just built and solely holds. :func:`_freeze`
+    adopts it when it is a plain float64 ndarray that owns C-contiguous,
+    writeable data, and copies anything else. The checks run either way."""
+
+    arr: np.ndarray
+
+
 class _Frozen:
     """Base of the frozen dataclasses that hold arrays.
 
-    Their constructors copy and freeze every array with :func:`_freeze`,
-    but the default dataclass copy and pickle paths skip the constructor
-    and give writeable arrays. Rebuilding through the constructor makes
-    the arrays read-only private copies again, and nothing cached on the
-    original carries over.
+    Their constructors copy (or adopt, see :class:`_Fresh`) and freeze
+    every array with :func:`_freeze`, but the default dataclass copy and
+    pickle paths skip the constructor and give writeable arrays.
+    Rebuilding through the constructor makes the arrays read-only private
+    copies again, and nothing cached on the original carries over.
     """
 
     def __reduce__(self):
@@ -104,11 +113,17 @@ class _Frozen:
 
 def _freeze(obj, **ndims) -> tuple:
     """Replace each named array field of the frozen ``obj`` by its
-    :func:`_as_float_array` copy with the given ndim, in argument order,
-    and return the copies in that order."""
+    :func:`_as_float_array` copy with the given ndim, or adopt it (see
+    :class:`_Fresh`), in argument order; return the arrays in that order."""
     arrays = []
     for name, ndim in ndims.items():
-        arr = _as_float_array(getattr(obj, name), name, ndim)
+        arr = getattr(obj, name)
+        adopt = isinstance(arr, _Fresh)
+        if adopt:
+            arr = arr.arr
+            adopt = type(arr) is np.ndarray and arr.dtype == np.float64 and all(
+                arr.flags[f] for f in ("OWNDATA", "C_CONTIGUOUS", "WRITEABLE"))
+        arr = _as_float_array(arr, name, ndim, adopt)
         object.__setattr__(obj, name, arr)
         arrays.append(arr)
     return tuple(arrays)
@@ -125,9 +140,9 @@ def _check_int(name: str, v, lo: int = 1) -> None:
 class FeatureSequence(_Frozen):
     """A length-T sequence of d-dimensional real feature frames.
 
-    ``data`` has shape (T, d); it is copied on construction, checked
-    finite, and frozen. Every mixer in this package maps one of these to
-    another of the same shape.
+    ``data`` has shape (T, d); it is copied on construction (unless the
+    package has just built it), checked finite, and frozen. Every mixer
+    in this package maps one of these to another of the same shape.
     """
 
     data: np.ndarray
@@ -236,7 +251,7 @@ def apply_mixer(mixer: MatrixMixer, x: FeatureSequence) -> FeatureSequence:
         raise ShapeError(
             f"mixer is {mixer.T}x{mixer.T} but sequence has {x.T} frames"
         )
-    return FeatureSequence(mixer.m @ x.data)
+    return FeatureSequence(_Fresh(mixer.m @ x.data))
 
 
 def _is_int(v) -> bool:

@@ -56,6 +56,7 @@ from .mixer_core import (
     MixerClass,
     NumericRangeError,
     ShapeError,
+    _Fresh,
     _Frozen,
     _as_float_array,
     _freeze,
@@ -293,7 +294,7 @@ def ssm_mixer(params: ScanParams) -> MatrixMixer:
     lower = np.tril(np.ones((T, T), dtype=bool))
     seg = np.where(lower, np.exp(np.where(lower, expo, 0.0)), 0.0)
     m = (params.c @ params.b.T) * seg
-    return MatrixMixer(m, MixerClass.semiseparable(params.N))
+    return MatrixMixer(_Fresh(m), MixerClass.semiseparable(params.N))
 
 
 def selective_parameterize(x: FeatureSequence, weights: SelectiveWeights) -> ScanParams:
@@ -348,7 +349,7 @@ def bimamba_mixer(params: BiMambaParams) -> MatrixMixer:
     """
     fwd_m = ssm_mixer(params.fwd).m
     bwd_m = ssm_mixer(params.bwd).m
-    return MatrixMixer(fwd_m + bwd_m[::-1, ::-1], MixerClass.quasiseparable(params.N))
+    return MatrixMixer(_Fresh(fwd_m + bwd_m[::-1, ::-1]), MixerClass.quasiseparable(params.N))
 
 
 def bimamba_channelwise(
@@ -364,7 +365,7 @@ def bimamba_channelwise(
     out = np.empty_like(x.data)
     for ch in range(x.d):
         out[:, ch] = bimamba_apply(params, x.data[:, ch])
-    return FeatureSequence(out)
+    return FeatureSequence(_Fresh(out))
 
 
 def hydra_apply(params: HydraParams, x) -> np.ndarray:
@@ -392,7 +393,7 @@ def hydra_mixer(params: HydraParams) -> MatrixMixer:
     m[1:, :] = fwd_m[:-1, :]
     m[:-1, :] += up_m[1:, :]
     np.fill_diagonal(m, params.diag_delta)
-    return MatrixMixer(m, MixerClass.quasiseparable(params.N))
+    return MatrixMixer(_Fresh(m), MixerClass.quasiseparable(params.N))
 
 
 def hydra_channelwise(
@@ -416,4 +417,4 @@ def hydra_channelwise(
     out = np.empty_like(x.data)
     for ch in range(x.d):
         out[:, ch] = _hydra(fwd_p, bwd_p, x.data[:, ch], gain[ch])
-    return FeatureSequence(out)
+    return FeatureSequence(_Fresh(out))

@@ -1,5 +1,7 @@
 """Tests for softmax attention, random-feature attention, and rotary embeddings."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -95,6 +97,25 @@ def _orthogonality_message_reference(omega):
                 f"(max deviation {np.max(np.abs(off)):.3e})"
             )
     return None
+
+
+@pytest.mark.parametrize("kind", ["softmax", "favor"])
+def test_materialized_map_is_built_once(kind):
+    """The mixer holds the map it built, not a copy: at T=1024 the traced
+    peak stays under 1.25 maps (a copy would make it 2)."""
+    rng = np.random.default_rng(35)
+    T, d = 1024, 8
+    q, k = rng.standard_normal((T, d)) / 2, rng.standard_normal((T, d)) / 2
+    omega = draw_orthogonal_features(d, 16, 0)
+    build = {"softmax": lambda: softmax_mixer(q, k), "favor": lambda: favor_mixer(q, k, omega)}
+    tracemalloc.start()
+    try:
+        mixer = build[kind]()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not mixer.m.flags.writeable
+    assert peak <= 1.25 * mixer.m.nbytes
 
 
 class TestSoftmaxAttention:
@@ -590,6 +611,34 @@ class TestMultiHeadAttention:
         roped = multi_head_attention(x, w, cfg, kind="softmax", rope=RopeConfig(d_head=2))
         assert roped.data.shape == (6, d)
         assert not np.allclose(plain.data, roped.data)
+
+    @pytest.mark.parametrize("kind", ["softmax", "favor"])
+    def test_bit_identical_to_concatenated_heads(self, kind):
+        """At T=600, past one 512-row softmax chunk, the heads written into
+        one array equal the per-head list joined by np.concatenate."""
+        rng = np.random.default_rng(34)
+        T, d, num_heads = 600, 16, 2
+        x = rng.standard_normal((T, d))
+        w = MhaWeights(*(rng.standard_normal((d, d)) / 4 for _ in range(4)))
+        cfg = MultiHeadConfig(d_model=d, num_heads=num_heads)
+        rope = RopeConfig(d_head=cfg.d_head)
+        omegas = [draw_orthogonal_features(cfg.d_head, 8, s) for s in range(num_heads)]
+        big_q, big_k, big_v = x @ w.wq, x @ w.wk, x @ w.wv
+        heads = []
+        for h in range(num_heads):
+            sl = slice(h * cfg.d_head, (h + 1) * cfg.d_head)
+            q, k = apply_rope(big_q[:, sl], rope), apply_rope(big_k[:, sl], rope)
+            qkv = QkvTriple(q, k, big_v[:, sl])
+            if kind == "softmax":
+                heads.append(softmax_attention(qkv).data)
+            else:
+                heads.append(favor_attention(qkv, omegas[h]).data)
+        want = np.concatenate(heads, axis=1) @ w.wo
+        got = multi_head_attention(
+            FeatureSequence(x), w, cfg, kind, rope=rope,
+            omegas=omegas if kind == "favor" else None,
+        )
+        assert np.array_equal(got.data, want)
 
     def test_indivisible_heads_rejected(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,8 @@
 """Tests for block stages, the four-stage residual block, stacks, and the
 weight container."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -196,6 +198,21 @@ class TestFfwApply:
         want = _silu_reference(x @ w.w1 + w.b1) @ w.w2 + w.b2
         assert np.array_equal(ffw_apply(FeatureSequence(x), w).data, want)
 
+    def test_bit_identical_to_public_silu_across_row_blocks(self):
+        """T=600 is not a multiple of the in-place SiLU's row block, so the
+        last block is partial."""
+        rng = np.random.default_rng(7)
+        d, h, T = 16, 64, 600
+        w = FfwWeights(
+            w1=rng.standard_normal((d, h)) * 0.3,
+            b1=rng.standard_normal(h),
+            w2=rng.standard_normal((h, d)) * 0.2,
+            b2=rng.standard_normal(d),
+        )
+        x = rng.standard_normal((T, d))
+        want = silu(x @ w.w1 + w.b1) @ w.w2 + w.b2
+        assert np.array_equal(ffw_apply(FeatureSequence(x), w).data, want)
+
     def test_width_mismatch_rejected(self):
         w = FfwWeights(
             w1=np.zeros((4, 8)), b1=np.zeros(8), w2=np.zeros((8, 4)), b2=np.zeros(4)
@@ -310,6 +327,16 @@ class TestLayerNorm:
         affine = layer_norm_apply(x, scale, shift).data
         np.testing.assert_allclose(affine, plain * scale + shift, atol=1e-13)
 
+    def test_bit_identical_to_expression_form(self):
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((600, 16)) * 3.0 + 1.0
+        scale, shift = rng.standard_normal(16), rng.standard_normal(16)
+        centered = x - x.mean(axis=1, keepdims=True)
+        var = np.mean(centered * centered, axis=1, keepdims=True)
+        want = centered / np.sqrt(var + LAYER_NORM_EPS) * scale + shift
+        got = layer_norm_apply(FeatureSequence(x), scale, shift).data
+        assert np.array_equal(got, want)
+
     def test_epsilon_sits_inside_sqrt(self):
         x = FeatureSequence(np.array([[1e-8, -1e-8]]))
         y = layer_norm_apply(x, np.ones(2), np.zeros(2)).data[0]
@@ -355,6 +382,56 @@ class TestBlockForward:
         y = block_forward(x, zeroed)
         expected = layer_norm_apply(x, zeroed.norm_scale, zeroed.norm_shift)
         assert np.array_equal(y.data, expected.data)
+
+
+class TestStageScratch:
+    """Stages adopt the arrays they build instead of copying them."""
+
+    @pytest.mark.parametrize("kind", MIXER_KINDS)
+    def test_outputs_are_read_only_and_private(self, kind):
+        rng = np.random.default_rng(15)
+        cfg = BlockStackConfig(d_model=8, num_blocks=1, kernel_size=3, mixer_kind=kind)
+        (block,) = init_stack(cfg, 3, num_heads=2, feature_count=8, state_size=4)
+        x = FeatureSequence(rng.standard_normal((12, 8)))
+        outputs = {
+            "ffw_apply": ffw_apply(x, block.ffw_in),
+            "mixer_apply": mixer_apply(x, block.mixer_config),
+            "dilated_dw_conv": dilated_dw_conv(x, block.conv),
+            "layer_norm_apply": layer_norm_apply(x, block.norm_scale, block.norm_shift),
+            "block_forward": block_forward(x, block),
+        }
+        for name, y in outputs.items():
+            assert not y.data.flags.writeable, name
+            assert not np.shares_memory(y.data, x.data), name
+
+    @pytest.mark.parametrize(
+        "stage, limit_mb",
+        [("ffw_apply", 26.0), ("layer_norm_apply", 10.5)],
+    )
+    def test_traced_peak_at_benchmark_size(self, stage, limit_mb):
+        """At T=2048, d=256 (4.2 MB per activation) the FFW keeps its hidden
+        array and one row block of SiLU scratch, and the layer norm one
+        array besides its product temporary; copying either output or a
+        second hidden array breaks the limit."""
+        rng = np.random.default_rng(16)
+        T, d = 2048, 256
+        x = FeatureSequence(rng.standard_normal((T, d)))
+        w = FfwWeights(
+            rng.standard_normal((d, 4 * d)) / 16, np.zeros(4 * d),
+            rng.standard_normal((4 * d, d)) / 32, np.zeros(d),
+        )
+        scale, shift = np.ones(d), np.zeros(d)
+        run = {
+            "ffw_apply": lambda: ffw_apply(x, w),
+            "layer_norm_apply": lambda: layer_norm_apply(x, scale, shift),
+        }[stage]
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit_mb * 1e6
 
 
 class TestStack:

@@ -200,6 +200,60 @@ class TestFeatureSequence:
             x.data[0, 0] = 5.0
 
 
+class TestAdoption:
+    """An array marked as freshly built (``mixer_core._Fresh``) is frozen in
+    place when it owns C-contiguous, writeable float64 data; anything else
+    is copied, and every check runs either way."""
+
+    def test_owned_array_is_adopted(self):
+        arr = np.ones((3, 2))
+        x = FeatureSequence(mixer_core._Fresh(arr))
+        assert x.data is arr
+        assert not arr.flags.writeable
+
+    def test_public_constructor_copies(self):
+        arr = np.ones((3, 2))
+        x = FeatureSequence(arr)
+        assert not np.shares_memory(x.data, arr)
+        assert arr.flags.writeable
+
+    @pytest.mark.parametrize("make", [
+        lambda a: a[1:],
+        lambda a: a[:, ::2],
+        lambda a: np.asfortranarray(a),
+        lambda a: np.array(a, dtype=np.float32),
+        lambda a: np.array(a, dtype=">f8"),
+        lambda a: a.view(np.matrix),
+        lambda a: a.tolist(),
+    ], ids=["view", "strided", "fortran", "float32", "big-endian", "subclass", "list"])
+    def test_anything_else_is_copied(self, make):
+        src = make(np.arange(12.0).reshape(4, 3))
+        x = FeatureSequence(mixer_core._Fresh(src))
+        assert type(x.data) is np.ndarray and not x.data.flags.writeable
+        assert np.array_equal(x.data, np.asarray(src, dtype=np.float64))
+        if isinstance(src, np.ndarray):
+            assert not np.shares_memory(x.data, src)
+            assert src.flags.writeable
+
+    def test_read_only_array_is_copied(self):
+        arr = np.ones((3, 2))
+        arr.flags.writeable = False
+        x = FeatureSequence(mixer_core._Fresh(arr))
+        assert x.data is not arr and not np.shares_memory(x.data, arr)
+
+    def test_checks_still_run(self):
+        bad = np.ones((3, 2))
+        bad[2, 0] = np.inf
+        with pytest.raises(NumericRangeError):
+            FeatureSequence(mixer_core._Fresh(bad))
+        with pytest.raises(ShapeError):
+            FeatureSequence(mixer_core._Fresh(np.ones(3)))
+        with pytest.raises(ShapeError):
+            FeatureSequence(mixer_core._Fresh(np.ones((0, 2))))
+        with pytest.raises(ShapeError):
+            MatrixMixer(mixer_core._Fresh(np.ones((2, 3))), MixerClass.dense())
+
+
 @pytest.mark.parametrize("build", [
     FeatureSequence,
     lambda z: ScanParams(a=np.full(2, 0.5), b=z, c=np.ones((2, 2))),
