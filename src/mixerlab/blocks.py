@@ -403,13 +403,19 @@ def block_forward(x: FeatureSequence, block: DcHydraBlock) -> FeatureSequence:
 
 @dataclass(frozen=True)
 class BlockStackConfig:
-    """Stack shape: width, depth, dilation schedule, kernel, mixer kind."""
+    """Stack shape: width, depth, dilation schedule, kernel, and the hosted
+    mixer's kind and sizes: ``num_heads`` and (favor) ``feature_count`` for
+    attention, whose heads get ``RopeConfig(d_head)`` exactly when d_head
+    is even, and ``state_size`` for the scans."""
 
     d_model: int
     num_blocks: int
     dilation_period: int = 4
     kernel_size: int = 7
     mixer_kind: str = "hydra"
+    num_heads: int = 4
+    feature_count: int = 64
+    state_size: int = 16
 
     _PRESETS = {
         "latent-denoiser": (256, 8),
@@ -417,7 +423,8 @@ class BlockStackConfig:
     }
 
     def __post_init__(self) -> None:
-        for name in ("d_model", "num_blocks", "dilation_period", "kernel_size"):
+        for name in ("d_model", "num_blocks", "dilation_period", "kernel_size",
+                     "num_heads", "feature_count", "state_size"):
             _check_int(name, getattr(self, name))
         if self.mixer_kind not in MIXER_KINDS:
             raise ValueError(
@@ -428,8 +435,8 @@ class BlockStackConfig:
     def preset(cls, name: str, **rest) -> "BlockStackConfig":
         """Named stack shapes: 'latent-denoiser' (8 blocks at width 256)
         and 'token-generator' (12 blocks at width 512). Keywords set the
-        other fields (mixer_kind, dilation_period, kernel_size); the rest
-        keep their dataclass defaults."""
+        other fields (mixer_kind, dilation_period, kernel_size, the mixer
+        sizes); the rest keep their dataclass defaults."""
         if name not in cls._PRESETS:
             raise ValueError(
                 f"unknown preset {name!r}; expected one of {sorted(cls._PRESETS)}"
@@ -446,23 +453,27 @@ class BlockStackConfig:
 def validate_stack(cfg: BlockStackConfig, blocks: Sequence[DcHydraBlock]) -> None:
     """Check a block list against a stack config.
 
-    Verifies block count, widths, mixer kinds, kernel sizes, and that
-    block i's conv dilation equals the schedule value 2**(i // period).
+    Verifies block count, widths, mixer kinds, kernel sizes, that block
+    i's conv dilation equals the schedule value 2**(i // period), and the
+    mixer sizes: head count and feature count, or state size.
     """
     if len(blocks) != cfg.num_blocks:
         raise ValueError(f"config says {cfg.num_blocks} blocks, got {len(blocks)}")
     for i, block in enumerate(blocks):
         if block.d != cfg.d_model:
             raise ShapeError(f"block {i} width {block.d} != d_model {cfg.d_model}")
-        if mixer_kind_of(block.mixer_config) != cfg.mixer_kind:
-            raise ValueError(
-                f"block {i} mixer kind {mixer_kind_of(block.mixer_config)!r} "
-                f"!= config {cfg.mixer_kind!r}"
-            )
-        if block.conv.k != cfg.kernel_size:
-            raise ValueError(
-                f"block {i} kernel size {block.conv.k} != config {cfg.kernel_size}"
-            )
+        mc = block.mixer_config
+        # the kind is checked first: it decides which sizes the block has
+        checks = [("mixer_kind", mixer_kind_of(mc)), ("kernel_size", block.conv.k)]
+        if isinstance(mc, AttentionMixerConfig):
+            checks.append(("num_heads", mc.head_config.num_heads))
+            checks += [("feature_count", om.r) for om in mc.omegas or ()]
+        else:
+            checks.append(("state_size", mc.fwd.N))
+        for name, got in checks:
+            want = getattr(cfg, name)
+            if got != want:
+                raise ValueError(f"block {i} {name} {got!r} != config {want!r}")
         want = dilation_for_block(i, cfg.dilation_period)
         if block.conv.dilation != want:
             raise ValueError(
@@ -514,11 +525,16 @@ def _omega_names(num_heads: int) -> Tuple[str, ...]:
     return tuple(f"head{h:02d}.omega" for h in range(num_heads))
 
 
-def _draw_omegas(seed: int, i: int, d_head: int, num_heads: int, feature_count: int):
+def _draw_omegas(cfg: BlockStackConfig, seed: int, i: int):
+    """Block i's favor feature matrices, one per head from the children of
+    ``derive_seed(seed, i, 1)``; None for the other kinds."""
+    if cfg.mixer_kind != "favor":
+        return None
+    d_head = MultiHeadConfig(cfg.d_model, cfg.num_heads).d_head
     omega_seed = derive_seed(seed, i, 1)
     return tuple(
-        draw_orthogonal_features(d_head, feature_count, derive_seed(omega_seed, h))
-        for h in range(num_heads)
+        draw_orthogonal_features(d_head, cfg.feature_count, derive_seed(omega_seed, h))
+        for h in range(cfg.num_heads)
     )
 
 
@@ -531,10 +547,11 @@ def _named(i: int, parts) -> dict:
     }
 
 
-def _draw_block(cfg: BlockStackConfig, i: int, seed: int, num_heads, feature_count, n) -> dict:
-    """Block i's initial tensors by container name, with state size ``n``;
-    stream (i, 0) is drawn in the order ffw_in, mixer, conv kernel, ffw_out."""
-    d, k, kind = cfg.d_model, cfg.kernel_size, cfg.mixer_kind
+def _draw_block(cfg: BlockStackConfig, seed: int, i: int, omegas) -> dict:
+    """Block i's initial tensors by container name, with the feature
+    matrices ``omegas`` for favor; stream (i, 0) is drawn in the order
+    ffw_in, mixer, conv kernel, ffw_out."""
+    d, k, kind, n = cfg.d_model, cfg.kernel_size, cfg.mixer_kind, cfg.state_size
     normal = make_rng(seed, i, 0).standard_normal
     scale = 1.0 / np.sqrt(d)
 
@@ -550,9 +567,7 @@ def _draw_block(cfg: BlockStackConfig, i: int, seed: int, num_heads, feature_cou
     if kind in ("softmax", "favor"):
         parts.append(("mixer", _MHA, [normal((d, d)) * scale for _ in _MHA]))
         if kind == "favor":
-            d_head = MultiHeadConfig(d, num_heads).d_head
-            omegas = _draw_omegas(seed, i, d_head, num_heads, feature_count)
-            parts.append(("mixer", _omega_names(num_heads), [om.omega for om in omegas]))
+            parts.append(("mixer", _omega_names(cfg.num_heads), [om.omega for om in omegas]))
     else:
         parts += [(f"mixer.{side}", _SELECTIVE, selective()) for side in ("fwd", "bwd")]
         out_proj = normal((d, d)) / np.sqrt(d)
@@ -565,11 +580,11 @@ def _draw_block(cfg: BlockStackConfig, i: int, seed: int, num_heads, feature_cou
 
 
 def _build_block(
-    cfg: BlockStackConfig, i: int, tensors, read: set, fresh: bool, seed: int,
-    num_heads: int, feature_count: int, use_rope: bool, rope_base: float,
+    cfg: BlockStackConfig, i: int, tensors, omegas, read: set, fresh: bool
 ) -> DcHydraBlock:
     """Block i of a ``cfg`` stack from named tensors, adopted when ``fresh``
-    (see :class:`_Fresh`); adds to ``read`` each name it takes."""
+    (see :class:`_Fresh`); stored favor feature matrices must equal
+    ``omegas`` bit for bit. Adds to ``read`` each name it takes."""
     own = _Fresh if fresh else np.asarray
 
     def take(part, names):
@@ -582,18 +597,16 @@ def _build_block(
 
     kind = cfg.mixer_kind
     if kind in ("softmax", "favor"):
-        heads = MultiHeadConfig(d_model=cfg.d_model, num_heads=num_heads)
-        omegas = None
+        heads = MultiHeadConfig(d_model=cfg.d_model, num_heads=cfg.num_heads)
         if kind == "favor":
-            names = _omega_names(num_heads)
-            omegas = _draw_omegas(seed, i, heads.d_head, num_heads, feature_count)
+            names = _omega_names(cfg.num_heads)
             for name, om, stored in zip(names, omegas, take("mixer", names)):
                 if not np.array_equal(om.omega, stored):
                     raise ValueError(
-                        f"stored feature matrix block{i:02d}.mixer.{name} does not "
-                        f"match its seed; wrong seed for this container?"
+                        f"stored feature matrix block{i:02d}.mixer.{name} does not match "
+                        f"its seed and feature_count; wrong seed or config for this container?"
                     )
-        rope = RopeConfig(heads.d_head, rope_base) if use_rope else None
+        rope = RopeConfig(heads.d_head) if heads.d_head % 2 == 0 else None
         weights = MhaWeights(*map(own, take("mixer", _MHA)))
         mixer = AttentionMixerConfig(kind, weights, heads, rope, omegas)
     else:
@@ -608,15 +621,17 @@ def _build_block(
     return DcHydraBlock(ffw_in, mixer, conv, ffw_out, *map(own, take("norm", _NORM)))
 
 
-def _build_stack(cfg: BlockStackConfig, block_tensors, fresh: bool, *block_args):
-    """Build a ``cfg`` stack block by block from ``block_tensors(i)``, adopted
-    when ``fresh``. A tensor that no block reads raises ValueError naming
-    the first one, and the blocks must pass :func:`validate_stack`."""
+def _build_stack(cfg: BlockStackConfig, seed: int, block_tensors, fresh: bool):
+    """Build a ``cfg`` stack block by block from ``block_tensors(i, omegas)``,
+    adopted when ``fresh``, where ``omegas`` are block i's feature matrices
+    as drawn from ``seed``. A tensor that no block reads raises ValueError
+    naming the first one, and the blocks must pass :func:`validate_stack`."""
     offered, read, blocks = {}, set(), []
     for i in range(cfg.num_blocks):
-        tensors = block_tensors(i)
+        omegas = _draw_omegas(cfg, seed, i)
+        tensors = block_tensors(i, omegas)
         offered.update(dict.fromkeys(tensors))
-        blocks.append(_build_block(cfg, i, tensors, read, fresh, *block_args))
+        blocks.append(_build_block(cfg, i, tensors, omegas, read, fresh))
     unread = [name for name in offered if name not in read]
     if unread:
         raise ValueError(
@@ -627,30 +642,18 @@ def _build_stack(cfg: BlockStackConfig, block_tensors, fresh: bool, *block_args)
     return tuple(blocks)
 
 
-def init_stack(
-    cfg: BlockStackConfig,
-    seed: int,
-    *,
-    num_heads: int = 4,
-    feature_count: int = 64,
-    state_size: int = 16,
-    use_rope: bool = True,
-    rope_base: float = 10000.0,
-) -> Tuple[DcHydraBlock, ...]:
-    """Randomly initialize a whole stack, reproducibly from one seed.
+def init_stack(cfg: BlockStackConfig, seed: int) -> Tuple[DcHydraBlock, ...]:
+    """Randomly initialize a whole ``cfg`` stack, reproducibly from one seed.
 
     Block i draws from stream (i, 0) of the seed; favor feature
-    matrices use child seeds on stream (i, 1). LayerNorm starts at
-    scale 1, shift 0. Each block is drawn as named tensors and built by
-    the same code as :func:`stack_from_tensors`, one block at a time, so
-    favor feature matrices pass the loader's seed check too.
+    matrices use child seeds on stream (i, 1), each drawn once. LayerNorm
+    starts at scale 1, shift 0. Each block is drawn as named tensors and
+    built by the same code as :func:`stack_from_tensors`, one block at a
+    time, so favor feature matrices pass the loader's seed check too.
     """
 
-    def draw(i):
-        return _draw_block(cfg, i, seed, num_heads, feature_count, state_size)
-
     # the drawn tensors are this call's own, so the blocks adopt them
-    return _build_stack(cfg, draw, True, seed, num_heads, feature_count, use_rope, rope_base)
+    return _build_stack(cfg, seed, lambda i, omegas: _draw_block(cfg, seed, i, omegas), True)
 
 
 def stack_to_tensors(blocks: Sequence[DcHydraBlock]) -> dict:
@@ -680,29 +683,19 @@ def stack_to_tensors(blocks: Sequence[DcHydraBlock]) -> dict:
 
 
 def stack_from_tensors(
-    cfg: BlockStackConfig,
-    tensors: Mapping[str, np.ndarray],
-    seed: int,
-    *,
-    num_heads: int = 4,
-    feature_count: int = 64,
-    use_rope: bool = True,
-    rope_base: float = 10000.0,
+    cfg: BlockStackConfig, tensors: Mapping[str, np.ndarray], seed: int
 ) -> Tuple[DcHydraBlock, ...]:
     """Rebuild a stack from a tensor container written by this package.
 
-    Structural facts (kinds, dilations, rope) come from ``cfg`` and the
-    keyword arguments; numeric weights come from ``tensors``, through
-    the block builder :func:`init_stack` uses. Favor feature matrices
-    are re-drawn from the child seeds :func:`init_stack` used and must
-    equal the stored copies bit for bit, so ``seed`` must be the stack's
-    original seed. The container must fit ``cfg`` exactly: a missing or
-    unread tensor, or blocks that fail :func:`validate_stack`, raise
-    ValueError.
+    Structural facts (kinds, sizes, dilations, rope) come from ``cfg``;
+    numeric weights come from ``tensors``, through the block builder
+    :func:`init_stack` uses. Favor feature matrices are re-drawn from the
+    child seeds :func:`init_stack` used and must equal the stored copies
+    bit for bit, so ``seed`` and ``feature_count`` must be the stack's
+    own. The container must fit ``cfg`` exactly: a missing or unread
+    tensor, or blocks that fail :func:`validate_stack`, raise ValueError.
     """
-    return _build_stack(
-        cfg, lambda i: tensors, False, seed, num_heads, feature_count, use_rope, rope_base
-    )
+    return _build_stack(cfg, seed, lambda i, omegas: tensors, False)
 
 
 def save_tensors(path, tensors: Mapping[str, np.ndarray]) -> None:

@@ -138,9 +138,11 @@ class RunConfig:
             raise ConfigError(str(exc)) from None
 
     def stack_config(self) -> BlockStackConfig:
-        """The stack shape ``demo`` builds, checked by :class:`BlockStackConfig`."""
+        """The stack ``demo`` builds, checked by :class:`BlockStackConfig`:
+        ``r`` is its feature count and ``N`` its state size."""
         return BlockStackConfig(
-            self.d_model, self.num_blocks, self.dilation_period, self.kernel_size, self.mixer_kind
+            self.d_model, self.num_blocks, self.dilation_period, self.kernel_size,
+            self.mixer_kind, self.num_heads, self.r, self.N,
         )
 
 
@@ -409,17 +411,7 @@ def cmd_demo(cfg: RunConfig) -> int:
     reduces to layer_norm of its input.
     """
     stack_cfg = cfg.stack_config()
-    use_rope = True
-    if cfg.mixer_kind in ("softmax", "favor"):
-        use_rope = MultiHeadConfig(cfg.d_model, cfg.num_heads).d_head % 2 == 0
-    blocks = init_stack(
-        stack_cfg,
-        cfg.seed,
-        num_heads=cfg.num_heads,
-        feature_count=cfg.r,
-        state_size=cfg.N,
-        use_rope=use_rope,
-    )
+    blocks = init_stack(stack_cfg, cfg.seed)
     if cfg.zero_weights:
         blocks = tuple(with_zeroed_projections(b) for b in blocks)
 

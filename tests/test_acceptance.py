@@ -269,8 +269,9 @@ def test_criterion_09_block_contract(capsys):
     rng = np.random.default_rng(1009)
     ok = True
     for kind in ("hydra", "bimamba", "favor", "softmax"):
-        cfg = BlockStackConfig(d_model=16, num_blocks=1, kernel_size=3, mixer_kind=kind)
-        (block,) = init_stack(cfg, 77, num_heads=2, feature_count=8, state_size=4)
+        cfg = BlockStackConfig(d_model=16, num_blocks=1, kernel_size=3, mixer_kind=kind,
+                               num_heads=2, feature_count=8, state_size=4)
+        (block,) = init_stack(cfg, 77)
         x = FeatureSequence(rng.standard_normal((20, 16)))
         y = block_forward(x, block)
         ok &= y.data.shape == (20, 16)

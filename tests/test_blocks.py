@@ -2,6 +2,7 @@
 weight container."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from mixerlab import (
     FeatureSequence,
     FfwWeights,
     NumericRangeError,
+    RopeConfig,
     block_forward,
     derive_seed,
     dilated_dw_conv,
@@ -42,7 +44,7 @@ def _silu_reference(x):
     return x * (0.5 * (1.0 + np.tanh(0.5 * x)))
 
 
-def _init_stack_reference(cfg, seed, num_heads=4, feature_count=64, state_size=16):
+def _init_stack_reference(cfg, seed):
     """init_stack's weights drawn part by part, keyed in container order.
 
     Block i draws stream (i, 0) in the order ffw_in, mixer, conv kernel,
@@ -51,6 +53,7 @@ def _init_stack_reference(cfg, seed, num_heads=4, feature_count=64, state_size=1
     sqrt(fan-in); attention and selective weights multiply by 1/sqrt(d).
     """
     d, k = cfg.d_model, cfg.kernel_size
+    num_heads, feature_count, state_size = cfg.num_heads, cfg.feature_count, cfg.state_size
     scale = 1.0 / np.sqrt(d)
     out = {}
     for i in range(cfg.num_blocks):
@@ -349,8 +352,9 @@ class TestBlockForward:
         """The block must equal the spelled-out residual chain: ffw, mixer,
         silu(conv), ffw, then one layer norm at the end."""
         rng = np.random.default_rng(12)
-        cfg = BlockStackConfig(d_model=8, num_blocks=1, kernel_size=3, mixer_kind="hydra")
-        (block,) = init_stack(cfg, 12, state_size=4)
+        cfg = BlockStackConfig(d_model=8, num_blocks=1, kernel_size=3, mixer_kind="hydra",
+                               state_size=4)
+        (block,) = init_stack(cfg, 12)
         x = FeatureSequence(rng.standard_normal((16, 8)))
         y = block_forward(x, block)
         s1 = FeatureSequence(x.data + ffw_apply(x, block.ffw_in).data)
@@ -363,8 +367,9 @@ class TestBlockForward:
     @pytest.mark.parametrize("kind", ["hydra", "bimamba", "favor", "softmax"])
     def test_shape_preserved_for_every_mixer_kind(self, kind):
         rng = np.random.default_rng(13)
-        cfg = BlockStackConfig(d_model=8, num_blocks=1, kernel_size=3, mixer_kind=kind)
-        (block,) = init_stack(cfg, 5, num_heads=2, feature_count=8, state_size=4)
+        cfg = BlockStackConfig(d_model=8, num_blocks=1, kernel_size=3, mixer_kind=kind,
+                               num_heads=2, feature_count=8, state_size=4)
+        (block,) = init_stack(cfg, 5)
         x = FeatureSequence(rng.standard_normal((12, 8)))
         y = block_forward(x, block)
         assert y.data.shape == (12, 8)
@@ -375,8 +380,9 @@ class TestBlockForward:
         """With every stage projection zeroed the residuals pass x through
         untouched and the block is exactly its final layer norm."""
         rng = np.random.default_rng(14)
-        cfg = BlockStackConfig(d_model=8, num_blocks=1, kernel_size=3, mixer_kind=kind)
-        (block,) = init_stack(cfg, 9, num_heads=2, feature_count=8, state_size=4)
+        cfg = BlockStackConfig(d_model=8, num_blocks=1, kernel_size=3, mixer_kind=kind,
+                               num_heads=2, feature_count=8, state_size=4)
+        (block,) = init_stack(cfg, 9)
         zeroed = with_zeroed_projections(block)
         x = FeatureSequence(rng.standard_normal((10, 8)))
         y = block_forward(x, zeroed)
@@ -390,8 +396,9 @@ class TestStageScratch:
     @pytest.mark.parametrize("kind", MIXER_KINDS)
     def test_outputs_are_read_only_and_private(self, kind):
         rng = np.random.default_rng(15)
-        cfg = BlockStackConfig(d_model=8, num_blocks=1, kernel_size=3, mixer_kind=kind)
-        (block,) = init_stack(cfg, 3, num_heads=2, feature_count=8, state_size=4)
+        cfg = BlockStackConfig(d_model=8, num_blocks=1, kernel_size=3, mixer_kind=kind,
+                               num_heads=2, feature_count=8, state_size=4)
+        (block,) = init_stack(cfg, 3)
         x = FeatureSequence(rng.standard_normal((12, 8)))
         outputs = {
             "ffw_apply": ffw_apply(x, block.ffw_in),
@@ -437,8 +444,8 @@ class TestStageScratch:
 class TestStack:
     def test_single_block_stack_equals_block_forward(self):
         rng = np.random.default_rng(15)
-        cfg = BlockStackConfig(d_model=6, num_blocks=1, kernel_size=3)
-        blocks = init_stack(cfg, 3, state_size=4)
+        cfg = BlockStackConfig(d_model=6, num_blocks=1, kernel_size=3, state_size=4)
+        blocks = init_stack(cfg, 3)
         x = FeatureSequence(rng.standard_normal((9, 6)))
         a = stack_forward(x, cfg, blocks)
         b = block_forward(x, blocks[0])
@@ -465,35 +472,87 @@ class TestStack:
         cfg = BlockStackConfig.preset("token-generator", mixer_kind="favor", kernel_size=3)
         assert cfg == BlockStackConfig(512, 12, kernel_size=3, mixer_kind="favor")
 
+    @pytest.mark.parametrize("field", ["num_heads", "feature_count", "state_size"])
+    @pytest.mark.parametrize("value", [0, True, 2.0], ids=["zero", "bool", "float"])
+    def test_mixer_sizes_must_be_positive_ints(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be a positive integer"):
+            BlockStackConfig(d_model=8, num_blocks=1, **{field: value})
+
     def test_validate_stack_rejects_wrong_count(self):
-        cfg = BlockStackConfig(d_model=6, num_blocks=2, kernel_size=3)
-        blocks = init_stack(cfg, 3, state_size=4)
+        cfg = BlockStackConfig(d_model=6, num_blocks=2, kernel_size=3, state_size=4)
+        blocks = init_stack(cfg, 3)
         with pytest.raises(ValueError):
             validate_stack(cfg, blocks[:1])
 
     def test_validate_stack_rejects_wrong_dilation(self):
-        cfg = BlockStackConfig(d_model=6, num_blocks=5, kernel_size=3, dilation_period=4)
-        blocks = init_stack(cfg, 3, state_size=4)
+        cfg = BlockStackConfig(d_model=6, num_blocks=5, kernel_size=3, dilation_period=4,
+                               state_size=4)
+        blocks = init_stack(cfg, 3)
         shuffled = (blocks[4],) + blocks[1:5]
         with pytest.raises(ValueError):
             validate_stack(cfg, shuffled)
 
     def test_validate_stack_rejects_mixed_kind(self):
-        cfg = BlockStackConfig(d_model=8, num_blocks=2, kernel_size=3, mixer_kind="hydra")
-        blocks = init_stack(cfg, 3, state_size=4)
-        other = BlockStackConfig(d_model=8, num_blocks=2, kernel_size=3, mixer_kind="softmax")
-        oblocks = init_stack(other, 3, num_heads=2)
+        cfg = BlockStackConfig(d_model=8, num_blocks=2, kernel_size=3, mixer_kind="hydra",
+                               state_size=4)
+        blocks = init_stack(cfg, 3)
+        other = BlockStackConfig(d_model=8, num_blocks=2, kernel_size=3, mixer_kind="softmax",
+                                 num_heads=2)
+        oblocks = init_stack(other, 3)
         with pytest.raises(ValueError):
             validate_stack(cfg, (blocks[0], oblocks[1]))
 
+    @pytest.mark.parametrize(
+        "kind, field",
+        [("softmax", "num_heads"), ("favor", "num_heads"), ("favor", "feature_count"),
+         ("hydra", "state_size"), ("bimamba", "state_size")],
+    )
+    def test_validate_stack_rejects_other_mixer_size(self, kind, field):
+        cfg = BlockStackConfig(d_model=8, num_blocks=2, kernel_size=3, mixer_kind=kind,
+                               num_heads=2, feature_count=8, state_size=4)
+        other = replace(cfg, **{field: 2 * getattr(cfg, field)})
+        blocks = init_stack(other, 3)
+        want = f"block 0 {field} {getattr(other, field)} != config {getattr(cfg, field)}"
+        with pytest.raises(ValueError, match=want):
+            validate_stack(cfg, blocks)
+        with pytest.raises(ValueError, match=want):
+            stack_forward(FeatureSequence(np.ones((4, 8))), cfg, blocks)
+
+    @pytest.mark.parametrize("kind", ["softmax", "favor"])
+    def test_rope_follows_head_width(self, kind):
+        """Heads rotate by RopeConfig(d_head) exactly when d_head is even;
+        an odd d_head builds and runs without RoPE."""
+        cfg = BlockStackConfig(d_model=8, num_blocks=1, kernel_size=3, mixer_kind=kind,
+                               num_heads=2, feature_count=8)
+        (block,) = init_stack(cfg, 3)
+        assert block.mixer_config.rope == RopeConfig(4, 10000.0)
+        odd = replace(cfg, d_model=6)
+        (block,) = init_stack(odd, 3)
+        assert block.mixer_config.rope is None
+        y = stack_forward(FeatureSequence(np.ones((5, 6))), odd, (block,))
+        assert np.all(np.isfinite(y.data))
+
+    def test_init_draws_each_feature_matrix_once(self, monkeypatch):
+        """The favor latent-denoiser holds 8 blocks x 4 heads = 32 feature
+        matrices; init_stack draws each one once."""
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return draw_orthogonal_features(*args)
+
+        monkeypatch.setattr("mixerlab.blocks.draw_orthogonal_features", counting)
+        init_stack(BlockStackConfig.preset("latent-denoiser", mixer_kind="favor"), 1)
+        assert len(calls) == 32
+
     def test_init_is_deterministic_in_seed(self):
-        cfg = BlockStackConfig(d_model=6, num_blocks=2, kernel_size=3)
-        t1 = stack_to_tensors(init_stack(cfg, 11, state_size=4))
-        t2 = stack_to_tensors(init_stack(cfg, 11, state_size=4))
+        cfg = BlockStackConfig(d_model=6, num_blocks=2, kernel_size=3, state_size=4)
+        t1 = stack_to_tensors(init_stack(cfg, 11))
+        t2 = stack_to_tensors(init_stack(cfg, 11))
         assert t1.keys() == t2.keys()
         for name in t1:
             assert np.array_equal(t1[name], t2[name])
-        t3 = stack_to_tensors(init_stack(cfg, 12, state_size=4))
+        t3 = stack_to_tensors(init_stack(cfg, 12))
         assert any(not np.array_equal(t1[n], t3[n]) for n in t1)
 
     @pytest.mark.parametrize("kind", MIXER_KINDS)
@@ -506,8 +565,9 @@ class TestStack:
         """Same draws, same arithmetic, same container order as drawing
         each part on its own."""
         cfg = BlockStackConfig(d_model=8, num_blocks=5, kernel_size=3, mixer_kind=kind)
-        got = stack_to_tensors(init_stack(cfg, 7, **sizes))
-        want = _init_stack_reference(cfg, 7, **sizes)
+        cfg = replace(cfg, **sizes)
+        got = stack_to_tensors(init_stack(cfg, 7))
+        want = _init_stack_reference(cfg, 7)
         assert list(got) == list(want)
         for name in want:
             assert np.array_equal(got[name], want[name]), name
@@ -586,21 +646,20 @@ class TestTensorContainer:
 
     @pytest.mark.parametrize("kind", MIXER_KINDS)
     def test_stack_roundtrip_through_container(self, tmp_path, kind):
-        cfg = BlockStackConfig(d_model=8, num_blocks=2, kernel_size=3, mixer_kind=kind)
-        blocks = init_stack(cfg, 21, num_heads=2, feature_count=8, state_size=4)
+        cfg = BlockStackConfig(d_model=8, num_blocks=2, kernel_size=3, mixer_kind=kind,
+                               num_heads=2, feature_count=8, state_size=4)
+        blocks = init_stack(cfg, 21)
         path = tmp_path / "w.bin"
         save_tensors(path, stack_to_tensors(blocks))
-        restored = stack_from_tensors(
-            cfg, load_tensors(path), 21, num_heads=2, feature_count=8
-        )
+        restored = stack_from_tensors(cfg, load_tensors(path), 21)
         x = FeatureSequence(make_rng(21, 0).standard_normal((6, 8)))
         a = stack_forward(x, cfg, blocks)
         b = stack_forward(x, cfg, restored)
         assert np.array_equal(a.data, b.data)
 
     def test_restore_rejects_missing_tensor(self):
-        cfg = BlockStackConfig(d_model=6, num_blocks=1, kernel_size=3)
-        tensors = stack_to_tensors(init_stack(cfg, 4, state_size=4))
+        cfg = BlockStackConfig(d_model=6, num_blocks=1, kernel_size=3, state_size=4)
+        tensors = stack_to_tensors(init_stack(cfg, 4))
         del tensors["block00.conv.bias"]
         with pytest.raises(ValueError):
             stack_from_tensors(cfg, tensors, 4)
@@ -608,9 +667,10 @@ class TestTensorContainer:
     def test_restore_rejects_unread_scan_tensors_and_blocks(self):
         """A 3-block hydra container is not a 2-block bimamba stack: its
         diagonal gains and third block would be dropped."""
-        hydra = BlockStackConfig(d_model=6, num_blocks=3, kernel_size=3, mixer_kind="hydra")
-        tensors = stack_to_tensors(init_stack(hydra, 4, state_size=4))
-        bimamba = BlockStackConfig(d_model=6, num_blocks=2, kernel_size=3, mixer_kind="bimamba")
+        hydra = BlockStackConfig(d_model=6, num_blocks=3, kernel_size=3, mixer_kind="hydra",
+                                 state_size=4)
+        tensors = stack_to_tensors(init_stack(hydra, 4))
+        bimamba = replace(hydra, num_blocks=2, mixer_kind="bimamba")
         with pytest.raises(ValueError, match="'block00.mixer.diag_gain'"):
             stack_from_tensors(bimamba, tensors, 4)
         del tensors["block00.mixer.diag_gain"], tensors["block01.mixer.diag_gain"]
@@ -620,31 +680,47 @@ class TestTensorContainer:
     def test_restore_rejects_unread_feature_matrices(self):
         """A favor container is not a softmax stack: its feature matrices
         would be dropped."""
-        favor = BlockStackConfig(d_model=8, num_blocks=1, kernel_size=3, mixer_kind="favor")
-        tensors = stack_to_tensors(init_stack(favor, 31, num_heads=2, feature_count=8))
-        softmax = BlockStackConfig(d_model=8, num_blocks=1, kernel_size=3, mixer_kind="softmax")
+        favor = BlockStackConfig(d_model=8, num_blocks=1, kernel_size=3, mixer_kind="favor",
+                                 num_heads=2, feature_count=8)
+        tensors = stack_to_tensors(init_stack(favor, 31))
+        softmax = replace(favor, mixer_kind="softmax")
         with pytest.raises(ValueError, match="'block00.mixer.head00.omega'"):
-            stack_from_tensors(softmax, tensors, 31, num_heads=2, feature_count=8)
+            stack_from_tensors(softmax, tensors, 31)
 
     def test_restore_rejects_stack_that_does_not_match_config(self):
         """Width and kernel size come from the tensors, so they must agree
         with cfg at load time, not only when the stack first runs."""
-        small = BlockStackConfig(d_model=8, num_blocks=2, kernel_size=3)
-        tensors = stack_to_tensors(init_stack(small, 5, state_size=4))
+        small = BlockStackConfig(d_model=8, num_blocks=2, kernel_size=3, state_size=4)
+        tensors = stack_to_tensors(init_stack(small, 5))
         for cfg in (
-            BlockStackConfig(d_model=16, num_blocks=2, kernel_size=7),
-            BlockStackConfig(d_model=8, num_blocks=2, kernel_size=7),
+            BlockStackConfig(d_model=16, num_blocks=2, kernel_size=7, state_size=4),
+            BlockStackConfig(d_model=8, num_blocks=2, kernel_size=7, state_size=4),
         ):
             with pytest.raises(ValueError):
                 stack_from_tensors(cfg, tensors, 5)
 
+    @pytest.mark.parametrize(
+        "kind, field, want",
+        [("hydra", "state_size", "block 0 state_size 4 != config 8"),
+         ("favor", "feature_count", "head00.omega does not match its seed and feature_count")],
+    )
+    def test_restore_rejects_other_mixer_size(self, kind, field, want):
+        """State size and feature count come from the tensors, so they must
+        agree with cfg."""
+        cfg = BlockStackConfig(d_model=8, num_blocks=1, kernel_size=3, mixer_kind=kind,
+                               num_heads=2, feature_count=4, state_size=4)
+        tensors = stack_to_tensors(init_stack(cfg, 4))
+        with pytest.raises(ValueError, match=want):
+            stack_from_tensors(replace(cfg, **{field: 8}), tensors, 4)
+
     def test_restore_rejects_tampered_feature_matrix(self):
         """Random-feature matrices are re-derived from the seed; a stored
         matrix that disagrees must be refused, not silently replaced."""
-        cfg = BlockStackConfig(d_model=8, num_blocks=1, kernel_size=3, mixer_kind="favor")
-        tensors = stack_to_tensors(init_stack(cfg, 31, num_heads=2, feature_count=8))
+        cfg = BlockStackConfig(d_model=8, num_blocks=1, kernel_size=3, mixer_kind="favor",
+                               num_heads=2, feature_count=8)
+        tensors = stack_to_tensors(init_stack(cfg, 31))
         name = "block00.mixer.head00.omega"
         tampered = dict(tensors)
         tampered[name] = tensors[name] + 1.0
         with pytest.raises(ValueError):
-            stack_from_tensors(cfg, tampered, 31, num_heads=2, feature_count=8)
+            stack_from_tensors(cfg, tampered, 31)

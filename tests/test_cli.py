@@ -491,9 +491,10 @@ class TestDemoCommand:
         """demo_weights.bin is the whole stack: reloaded and run on the demo
         input, it gives the output whose checksum demo.csv records."""
         assert main(self.DEMO_ARGS + ["--mixer_kind", kind, "--out", str(tmp_path)]) == 0
-        cfg = BlockStackConfig(d_model=8, num_blocks=3, kernel_size=3, mixer_kind=kind)
+        cfg = BlockStackConfig(d_model=8, num_blocks=3, kernel_size=3, mixer_kind=kind,
+                               num_heads=2, feature_count=8, state_size=4)
         tensors = load_tensors(tmp_path / "demo_weights.bin")
-        blocks = stack_from_tensors(cfg, tensors, 42, num_heads=2, feature_count=8)
+        blocks = stack_from_tensors(cfg, tensors, 42)
         x = FeatureSequence(make_rng(42, 5).standard_normal((12, 8)))
         y = stack_forward(x, cfg, blocks).data
         checksum = hashlib.sha256(np.ascontiguousarray(y).tobytes()).hexdigest()
@@ -530,11 +531,9 @@ class TestDemoCommand:
         rows = read_csv(tmp_path / "demo.csv")
         norm_rows = [r for r in rows[1:] if r[0] == "block_norm"]
 
-        cfg = BlockStackConfig(d_model=8, num_blocks=3, kernel_size=3, mixer_kind="hydra")
-        blocks = [
-            with_zeroed_projections(b)
-            for b in init_stack(cfg, 42, num_heads=2, feature_count=8, state_size=4)
-        ]
+        cfg = BlockStackConfig(d_model=8, num_blocks=3, kernel_size=3, mixer_kind="hydra",
+                               num_heads=2, feature_count=8, state_size=4)
+        blocks = [with_zeroed_projections(b) for b in init_stack(cfg, 42)]
         y = FeatureSequence(make_rng(42, 5).standard_normal((12, 8)))
         for i, block in enumerate(blocks):
             y = layer_norm_apply(y, block.norm_scale, block.norm_shift)

@@ -354,8 +354,9 @@ def frozen_containers():
     )
     blocks = {
         kind: init_stack(
-            BlockStackConfig(d_model=8, num_blocks=1, mixer_kind=kind),
-            0, num_heads=2, feature_count=4, state_size=2,
+            BlockStackConfig(d_model=8, num_blocks=1, mixer_kind=kind,
+                             num_heads=2, feature_count=4, state_size=2),
+            0,
         )[0]
         for kind in ("hydra", "bimamba", "favor")
     }

@@ -530,9 +530,8 @@ class TestChannelwiseOracles:
 
     def setup_inputs(self, T, kind="hydra"):
         (block,) = init_stack(
-            BlockStackConfig(d_model=self.d, num_blocks=1, mixer_kind=kind),
+            BlockStackConfig(d_model=self.d, num_blocks=1, mixer_kind=kind, state_size=self.N),
             seed=T,
-            state_size=self.N,
         )
         rng = np.random.default_rng(T)
         x = FeatureSequence(rng.standard_normal((T, self.d)))
