@@ -290,19 +290,34 @@ def positive_feature_map(
     kernel estimates ``phi(q) @ phi(k)``; pass ``stabilize=False`` when
     using the features as an unbiased estimator of exp(q . k).
     """
-    x = _as_float_array(x, "x", 2)
+    return _feature_map(_as_float_array(x, "x", 2), omega, stabilize)
+
+
+def _feature_map(x: np.ndarray, omega: OrthogonalFeatureMatrix, stabilize: bool,
+                 into: Optional[np.ndarray] = None) -> np.ndarray:
+    """:func:`positive_feature_map` of a checked float64 ``x``, written into
+    ``into`` (a C-contiguous (T, r) float64 array) when given.
+
+    With ``stabilize`` and a finite global maximum every exponent is at
+    most 0, so the result is finite and the full finiteness pass is
+    skipped. A maximum that is not finite (``x @ omega.T`` or ``|x|**2``
+    overflowed) leaves a NaN after the shift, so the pass runs and raises.
+    """
     if x.shape[1] != omega.d_head:
         raise ShapeError(
             f"x has width {x.shape[1]} but omega expects d_head={omega.d_head}"
         )
     # one (T, r) buffer from the product to the result
-    out = x @ omega.omega.T
+    out = np.matmul(x, omega.omega.T, out=into)
     out -= 0.5 * np.sum(x * x, axis=1, keepdims=True)
+    checked = False
     if stabilize:
-        out -= out.max()
+        top = out.max()
+        out -= top
+        checked = bool(np.isfinite(top))
     with np.errstate(over="ignore"):
         np.exp(out, out=out)
-    if not np.all(np.isfinite(out)):
+    if not checked and not np.all(np.isfinite(out)):
         raise NumericRangeError("feature map overflowed; inputs are too large")
     out /= np.sqrt(omega.r)
     return out
@@ -345,14 +360,19 @@ def favor_mixer(q, k, omega: OrthogonalFeatureMatrix) -> MatrixMixer:
     return MatrixMixer(_Fresh(_favor_weights(q, k, omega)), MixerClass.low_rank(omega.r))
 
 
-def _favor_weights(q, k, omega: OrthogonalFeatureMatrix, out=None) -> np.ndarray:
-    """The T x T map of :func:`favor_mixer`, not checked finite and not frozen.
+def _favor_weights(q, k, omega: OrthogonalFeatureMatrix, out=None, features=None) -> np.ndarray:
+    """The T x T map of :func:`favor_mixer` for checked float64 ``q`` and
+    ``k`` of one shape, not checked finite and not frozen.
 
     Written into ``out`` when given (a C-contiguous (T, T) float64
-    buffer), else into a fresh array.
+    buffer), else into a fresh array. ``features``, when given, is a
+    C-contiguous (2, n) float64 scratch array with n >= T * r: phi(q)
+    and phi(k) are written into contiguous (T, r) views of its rows.
     """
-    fq = positive_feature_map(q, omega)
-    fk = positive_feature_map(k, omega)
+    T, r = q.shape[0], omega.r
+    into = (None, None) if features is None else [row[: T * r].reshape(T, r) for row in features]
+    fq = _feature_map(q, omega, True, into[0])
+    fk = _feature_map(k, omega, True, into[1])
     den = _favor_normalizer(fq, fk)
     out = np.matmul(fq, fk.T, out=out)
     out /= den[:, None]

@@ -29,8 +29,7 @@ from .mixer_core import (
     _check_int,
     _check_tol,
     _freeze,
-    _rank_against,
-    _singular_values,
+    _rank,
 )
 
 __all__ = [
@@ -158,14 +157,16 @@ def head_average(mixers: Iterable[MatrixMixer]) -> MatrixMixer:
 def numerical_rank(mixer: MatrixMixer, tol: float = DEFAULT_RANK_TOL) -> int:
     """Count of singular values above tol times the largest one.
 
-    The zero matrix has rank 0. The singular values come from one
-    values-only SVD per mixer, shared with
-    :func:`~mixerlab.mixer_core.check_structure`. SVD non-convergence
-    propagates as numpy's LinAlgError.
+    The zero matrix has rank 0. The count is the one a values-only SVD
+    of the whole matrix gives, kept on the mixer per ``tol`` and shared
+    with :func:`~mixerlab.mixer_core.check_structure`. A mixer tagged
+    ``low_rank(r)`` with T at least 2(r + 8) is counted from an
+    (r + 8)-column sketch when rounding bounds certify that count, and
+    takes the full SVD otherwise; every other mixer takes the full SVD,
+    one per mixer. SVD non-convergence propagates as numpy's LinAlgError.
     """
     _check_tol(tol)
-    sv = _singular_values(mixer)
-    return _rank_against(sv, tol, sv[0])
+    return _rank(mixer, tol)
 
 
 def _exact_distances(m: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -291,19 +292,32 @@ def _check_window(window) -> int:
 
 
 def _locality_profile(m: np.ndarray, windows: Sequence[int]) -> Tuple[float, ...]:
-    """:func:`locality_mass` for each window, sharing |m|, the index
-    distances and the row totals across windows."""
-    absm = np.abs(m)
-    idx = np.arange(m.shape[0])
-    dist = np.abs(idx[:, None] - idx[None, :])
-    full = absm.sum(axis=1)
+    """:func:`locality_mass` for each window, in the caller's order.
+
+    Windows are taken in ascending order while one buffer is filled from
+    |m| diagonal by diagonal, so for window w it holds |m| inside the
+    band |i - j| <= w and 0.0 outside: the array the definition masks,
+    summed by rows the same way. Filled to T - 1 it gives the row
+    totals. Scratch is that one T x T buffer, whatever the windows.
+    """
+    T = m.shape[0]
+    flat = np.ravel(m)
+    band = np.zeros((T, T))
+    fill = band.ravel()
+    near = {}
+    d = 0
+    for w in sorted(set(windows) | {T - 1}):
+        while d <= min(w, T - 1):
+            # the d-th diagonals above and below start at flat d and d * T
+            for start in {d, d * T}:
+                diag = slice(start, start + (T - d - 1) * (T + 1) + 1, T + 1)
+                np.abs(flat[diag], out=fill[diag])
+            d += 1
+        near[w] = band.sum(axis=1)
+    full = near[T - 1]
     nonzero = full > 0.0
     denom = np.where(nonzero, full, 1.0)
-    masses = []
-    for w in windows:
-        near = np.where(dist <= w, absm, 0.0).sum(axis=1)
-        masses.append(float(np.mean(np.where(nonzero, near / denom, 1.0))))
-    return tuple(masses)
+    return tuple(float(np.mean(np.where(nonzero, near[w] / denom, 1.0))) for w in windows)
 
 
 def locality_mass(mixer: MatrixMixer, window: int) -> float:
@@ -332,10 +346,11 @@ def approximation_error_curve(
     Every r must be a Python int >= 1 and every seed a Python int >= 0;
     anything else raises ValueError before a feature matrix is drawn.
     Each draw's map is written into one reused T x T buffer and checked
-    finite as :func:`~mixerlab.attention.favor_mixer` checks it, so
-    memory stays at the exact map plus that buffer, whatever the number
-    of draws. The errors are bit for bit those of building
-    ``favor_mixer(q, k, omega)`` for every draw.
+    finite as :func:`~mixerlab.attention.favor_mixer` checks it, and
+    its features phi(q) and phi(k) into one reused (2, T * max(r))
+    buffer, so memory stays at the exact map plus those buffers,
+    whatever the number of draws. The errors are bit for bit those of
+    building ``favor_mixer(q, k, omega)`` for every draw.
     """
     q = _as_float_array(q, "q", 2)
     k = _as_float_array(k, "k", 2)
@@ -352,11 +367,12 @@ def approximation_error_curve(
     ref = float(np.linalg.norm(exact))
     d = q.shape[1]
     buf = np.empty_like(exact)
+    features = np.empty((2, q.shape[0] * max(r_values)))
     table = []
     for r in r_values:
         errs = []
         for seed in seeds:
-            _favor_weights(q, k, draw_orthogonal_features(d, r, seed), out=buf)
+            _favor_weights(q, k, draw_orthogonal_features(d, r, seed), out=buf, features=features)
             if not np.all(np.isfinite(buf)):
                 raise NumericRangeError("m contains non-finite entries")
             buf -= exact

@@ -300,6 +300,115 @@ def _singular_values(mixer: MatrixMixer) -> np.ndarray:
     return values
 
 
+def _per_tol_cache(mixer: MatrixMixer, name: str) -> dict:
+    """The dict kept on ``mixer`` under ``name`` for results keyed by
+    ``tol``, made on first use."""
+    cache = mixer.__dict__.get(name)
+    if cache is None:
+        cache = {}
+        object.__setattr__(mixer, name, cache)
+    return cache
+
+
+def _rank(mixer: MatrixMixer, tol: float) -> int:
+    """Numerical rank of the whole matrix at ``tol``: the count of the
+    full values-only SVD's values above ``tol`` times its largest.
+
+    Kept on the instance per ``tol``. A mixer whose own tag is
+    ``low_rank(r)`` with ``2 (r + _SKETCH_OVERSAMPLE) <= T`` is first
+    counted from a sketch (:func:`_sketched_rank`), which either
+    certifies the count the full SVD gives or declines; every other
+    mixer, and every declined sketch, takes the full SVD of
+    :func:`_singular_values`. Once those values exist they are used.
+    """
+    cache = _per_tol_cache(mixer, "_ranks")
+    rank = cache.get(tol)
+    if rank is None:
+        tag = mixer.class_tag
+        if (tag.kind == "low_rank" and "_singular_values" not in mixer.__dict__
+                and 2 * (tag.order + _SKETCH_OVERSAMPLE) <= mixer.T):
+            rank = _sketched_rank(mixer.m, tol, tag.order + _SKETCH_OVERSAMPLE)
+        if rank is None:
+            values = _singular_values(mixer)
+            rank = _rank_against(values, tol, float(values[0]))
+        cache[tol] = rank
+    return rank
+
+
+def _sketched_rank(m: np.ndarray, tol: float, width: int) -> Optional[int]:
+    """The full values-only SVD's rank count of ``m`` at ``tol``, from a
+    ``width``-column sketch, or None when the sketch cannot certify it.
+
+    A randomized range finder (Halko, Martinsson & Tropp 2011, SIAM Rev.
+    53(2)): Y = m Omega for a fixed Philox Gaussian Omega of ``width``
+    columns, Q from the QR factorization of Y, C = Q^T m and E = m - Q C,
+    all as computed, so m = Q C + E holds exactly for the E below. The
+    counts are those of C's singular values s against tol * s_1. Every
+    value the full SVD would return lies within ``band`` of s_i (i <=
+    width) or of 0 (past width):
+
+    * C's SVD is within one ``_SWEEP_ROUNDING`` allowance, rho = 16 eps
+      T, of C's exact values, and the full SVD within another of m's;
+    * with eta bounding ||Q^T Q - I||_2, measured from the computed
+      Gram and charged its product's rounding gamma_T ||Q||_F^2, Q's
+      singular values lie in [sqrt(1 - eta), sqrt(1 + eta)], so those of
+      Q C are within eta sigma_i(C) of C's;
+    * by Weyl's inequality those of m are within ||E||_2 <= ||E||_F of
+      Q C's, and past ``width`` within it of zero. ||E||_F is taken from
+      E's entries, formed ``_SKETCH_ROWS`` rows at a time with the
+      rounding of Q C (gamma_width ||Q||_F ||C||_F), of the subtraction
+      (u) and of the sum of squares (gamma_(T^2)) charged (Higham 2002,
+      section 3.1), plus an allowance for squares and products that
+      underflow. C's own rounding needs no term: E is measured against
+      C as computed.
+
+    The count is returned only when no s_i, and no 0 standing for the
+    values past ``width``, lies within ``reach`` of tol * s_1: ``band``
+    plus how far the full SVD's threshold can sit from tol * s_1. A
+    non-finite or NaN quantity anywhere fails that test.
+    """
+    from .rng import make_rng
+
+    T = m.shape[0]
+    rho = _SWEEP_ROUNDING * _EPS * T
+    with np.errstate(all="ignore"):
+        try:
+            q = np.linalg.qr(m @ make_rng(_SKETCH_SEED).standard_normal((T, width)))[0]
+            c = q.T @ m
+            s = np.linalg.svd(c, compute_uv=False)
+        except np.linalg.LinAlgError:
+            return None
+        gram = q.T @ q
+        q_frobenius = math.sqrt(float(gram.trace()) * (1.0 + 2.0 * _gamma(T + width)))
+        gram.flat[:: width + 1] -= 1.0
+        # plus an allowance for Gram entries that underflow
+        eta = (float(np.linalg.norm(gram)) * (1.0 + _gamma(width * width + 4))
+               + _gamma(T) * q_frobenius**2 + _SWEEP_TINY_ROOT)
+        if not eta < 0.5:
+            return None
+        rows = min(T, _SKETCH_ROWS)
+        part = np.empty((rows, T))
+        squares = 0.0
+        for lo in range(0, T, rows):
+            e = part[: min(rows, T - lo)]
+            np.matmul(q[lo : lo + rows], c, out=e)
+            np.subtract(m[lo : lo + rows], e, out=e)
+            squares += float(np.vdot(e, e))
+        top = float(s[0])
+        # C's largest exact value, and a bound on ||E||_F
+        c_top = top / (1.0 - rho)
+        residual = (math.sqrt(squares) * (1.0 + _gamma(T * T + 2)) * (1.0 + 2.0 * _EPS)
+                    + _gamma(width) * q_frobenius * math.sqrt(width) * c_top
+                    + T * (width + 2) * _SWEEP_TINY_ROOT)
+        m_top = c_top * (1.0 + eta) + residual
+        band = rho * c_top + eta * c_top + residual + rho * m_top
+        threshold = tol * top
+        reach = (band + tol * (band + 2.0 * _EPS * (top + band))) * (1.0 + 8.0 * _EPS)
+        if not np.all(np.abs(np.append(s, 0.0) - threshold) > reach):
+            return None
+    return _rank_against(s, tol, top)
+
+
 def _split_ranks_cached(mixer: MatrixMixer, tol: float, order: int) -> tuple:
     """Lower and upper block ranks of ``mixer`` at ``tol``, one sweep each.
 
@@ -307,10 +416,7 @@ def _split_ranks_cached(mixer: MatrixMixer, tol: float, order: int) -> tuple:
     being checked (``order`` only steers the sweep's cost), so they are
     kept on the instance next to the singular values, keyed by ``tol``.
     """
-    cache = mixer.__dict__.get("_split_ranks")
-    if cache is None:
-        cache = {}
-        object.__setattr__(mixer, "_split_ranks", cache)
+    cache = _per_tol_cache(mixer, "_split_ranks")
     ranks = cache.get(tol)
     if ranks is None:
         m = mixer.m
@@ -355,6 +461,17 @@ _BATCH_MASK = np.tri(_SWEEP_BATCH)
 # square, and the square root turns that into an absolute error of this
 # order.
 _SWEEP_TINY_ROOT = math.sqrt(float(np.finfo(np.float64).tiny))
+
+
+# The sketch that counts a low_rank(r) mixer's rank has r + this many
+# columns; it is tried only when twice its width is at most T, where it
+# costs well under the full SVD it replaces.
+_SKETCH_OVERSAMPLE = 8
+# Philox seed of the sketch's Gaussian test matrix. Counts never depend
+# on it: a poor draw only makes the sketch decline.
+_SKETCH_SEED = 0
+# Rows of the sketch residual formed at a time, so it needs no T x T array.
+_SKETCH_ROWS = 64
 
 
 def _gamma(n: int) -> float:
@@ -594,10 +711,15 @@ def check_structure(
     requires both sides <= N. ``low_rank(r)`` tests the whole matrix
     against min(T, r); ``dense`` always passes but still reports the
     matrix rank. All ranks are measured against the full matrix's
-    largest singular value (see module docstring). That reference comes
-    from one values-only SVD of the whole matrix, an O(T^3) step that
-    is kept on the mixer and shared with
-    :func:`~mixerlab.diagnostics.numerical_rank`.
+    largest singular value (see module docstring). For the split sweeps
+    that reference comes from one values-only SVD of the whole matrix,
+    an O(T^3) step that is kept on the mixer. The dense and low_rank
+    checks report the whole matrix's rank, kept on the mixer per ``tol``
+    and shared with :func:`~mixerlab.diagnostics.numerical_rank`: the
+    count that SVD gives, taken from it, or, for a mixer whose own tag
+    is ``low_rank(r)`` with T at least 2(r + 8), from an (r + 8)-column
+    sketch whenever rounding bounds certify that the SVD would give the
+    same count (see :func:`_sketched_rank`).
 
     The split sweep is compressed: one pass per side carries a thin
     factor of the current block, so a step costs at most an SVD of a
@@ -630,8 +752,7 @@ def check_structure(
 
     T = mixer.T
     if tag.kind in ("dense", "low_rank"):
-        singular_values = _singular_values(mixer)
-        rank = _rank_against(singular_values, tol, float(singular_values[0]))
+        rank = _rank(mixer, tol)
         violations = []
         if tag.kind == "low_rank" and rank > min(T, tag.order):
             violations.append(((0, T, 0, T), rank))

@@ -17,6 +17,7 @@ from mixerlab import (
     ShapeError,
     apply_mixer,
     apply_rope,
+    approximation_error_curve,
     draw_orthogonal_features,
     favor_attention,
     favor_mixer,
@@ -341,6 +342,29 @@ class TestPositiveFeatureMap:
         x = np.array([[100.0, 0.0]])
         with pytest.raises(NumericRangeError):
             positive_feature_map(x, om, stabilize=False)
+
+    @pytest.mark.parametrize("x", [
+        # |x|^2 overflows in every row, so every pre-exponent is -inf
+        [[1e155, 0.0], [-2e155, 0.0]],
+        # x . omega and |x|^2 overflow: inf - inf = NaN in the row whose
+        # sign meets a feature's (x . omega cannot overflow alone, since
+        # |x . omega| <= |x| |omega| and omega's row norms are finite)
+        [[1.79e308, 0.0], [-1.79e308, 0.0], [0.1, 0.2]],
+    ])
+    def test_stabilized_overflow_raises(self, x):
+        """Finite inputs whose pre-exponents overflow raise through the
+        stabilized map, the favor mixer and the error curve's own
+        feature draws. k keeps the softmax map finite."""
+        x = np.array(x)
+        k = np.zeros_like(x)
+        k[:, 1] = 1.0
+        om = OrthogonalFeatureMatrix(np.diag([2.0, 2.0]), seed=0)
+        with pytest.raises(NumericRangeError, match="feature map overflowed"):
+            positive_feature_map(x, om)
+        with pytest.raises(NumericRangeError, match="feature map overflowed"):
+            favor_mixer(x, k, om)
+        with pytest.raises(NumericRangeError, match="feature map overflowed"):
+            approximation_error_curve(x, k, (4, 16), (0, 1))
 
     @pytest.mark.parametrize("stabilize", [True, False])
     def test_matches_expression_form_bit_for_bit(self, stabilize):

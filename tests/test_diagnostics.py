@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 
 from mixerlab import (
+    DEFAULT_RANK_TOL,
     BiMambaParams,
     Histogram,
     HydraParams,
     MatrixMixer,
     MixerClass,
     ScanParams,
+    StructureReport,
     approximation_error_curve,
     bimamba_mixer,
     build_mixer_report,
@@ -32,7 +34,7 @@ from mixerlab import (
     write_locality,
     write_rank_report,
 )
-from mixerlab import diagnostics
+from mixerlab import diagnostics, mixer_core
 
 
 def dense(m):
@@ -247,9 +249,121 @@ class TestNumericalRank:
     def test_shared_values_are_read_only(self):
         m = dense(np.diag([3.0, 2.0, 1.0]))
         assert numerical_rank(m) == 3
-        sv = diagnostics._singular_values(m)
+        sv = mixer_core._singular_values(m)
         assert not sv.flags.writeable
-        assert sv is diagnostics._singular_values(m)
+        assert sv is mixer_core._singular_values(m)
+
+
+def svd_rank(m, tol=DEFAULT_RANK_TOL):
+    """The rank count of one full values-only SVD."""
+    sv = np.linalg.svd(m, compute_uv=False)
+    return int(np.count_nonzero(sv > tol * sv[0])) if sv[0] > 0.0 else 0
+
+
+def graded(rng, T, rank, decades):
+    """A T x T matrix of the given rank, singular values spread log-evenly
+    over ``decades``, in random singular directions."""
+    u = np.linalg.qr(rng.standard_normal((T, rank)))[0]
+    v = np.linalg.qr(rng.standard_normal((T, rank)))[0]
+    return (u * np.logspace(0.0, -decades, rank)) @ v.T
+
+
+def at_threshold(rng, T, offset, tol=DEFAULT_RANK_TOL):
+    """Rank 4 with its smallest singular value at tol * sigma_1 * (1 +
+    offset): sigma_1 moves with that value, so settle the fixed point."""
+    u = np.linalg.qr(rng.standard_normal((T, 4)))[0]
+    v = np.linalg.qr(rng.standard_normal((T, 4)))[0]
+    s = np.array([1.0, 0.5, 0.25, tol])
+    for _ in range(4):
+        m = (u * s) @ v.T
+        s[3] = tol * np.linalg.svd(m, compute_uv=False)[0] * (1.0 + offset)
+    return (u * s) @ v.T
+
+
+def low_rank_tagged_cases(seed):
+    """(m, r, tol) for mixers tagged low_rank(r): favor maps at several T,
+    r and input scales; mis-tagged maps of true rank r+1..T; a value at
+    the threshold; the zero matrix; T below 2(r + 8); extreme scales."""
+    rng = np.random.default_rng(seed)
+    for T in (24, 40, 64, 130, 200):
+        for r in (1, 4, 12, 24):
+            for scale in (0.05, 0.5, 1.0, 2.0):
+                q, k = rng.standard_normal((2, T, 8)) * scale
+                m = favor_mixer(q, k, draw_orthogonal_features(8, r, T + r)).m
+                yield m, r, DEFAULT_RANK_TOL
+    for _ in range(110):
+        T = int(rng.choice((34, 48, 96, 160)))
+        r = int(rng.integers(1, 9))
+        rank = int(rng.integers(r + 1, T + 1))
+        tol = float(rng.choice((1e-3, DEFAULT_RANK_TOL, 1e-10)))
+        yield graded(rng, T, rank, float(rng.uniform(1.0, 15.0))), r, tol
+    for offset in (1e-12, -1e-12):
+        for T, r in ((64, 3), (64, 4), (96, 8)):
+            yield at_threshold(rng, T, offset), r, DEFAULT_RANK_TOL
+    for T, r in ((64, 1), (40, 16), (300, 4)):
+        yield np.zeros((T, T)), r, DEFAULT_RANK_TOL
+    for T, r in ((30, 8), (33, 9), (48, 24)):
+        yield graded(rng, T, r, 4.0), r, DEFAULT_RANK_TOL
+    for scale in (1e-300, 1e-160, 1e150, 1e300):
+        q, k = rng.standard_normal((2, 80, 4))
+        yield favor_mixer(q, k, draw_orthogonal_features(4, 6, 5)).m * scale, 6, DEFAULT_RANK_TOL
+        yield graded(rng, 80, 30, 9.0) * scale, 6, DEFAULT_RANK_TOL
+
+
+class TestSketchedRank:
+    """Low_rank-tagged mixers may be counted from a sketch; the counts
+    must be the full SVD's, compared with ==."""
+
+    def test_counts_equal_full_svd(self, monkeypatch):
+        certified = []
+        original = mixer_core._sketched_rank
+
+        def recording(m, tol, width):
+            rank = original(m, tol, width)
+            certified.append(rank is not None)
+            return rank
+
+        monkeypatch.setattr(mixer_core, "_sketched_rank", recording)
+        cases = 0
+        for m, r, tol in low_rank_tagged_cases(61):
+            T = m.shape[0]
+            tag = MixerClass.low_rank(r)
+            expected = svd_rank(m, tol)
+            assert numerical_rank(MatrixMixer(m, tag), tol) == expected, (T, r, tol)
+            violations = (((0, T, 0, T), expected),) if expected > min(T, r) else ()
+            report = check_structure(MatrixMixer(m, tag), tol)
+            assert report == StructureReport(tag, expected, violations), (T, r, tol)
+            cases += 1
+        assert cases >= 200
+        # the sketch was tried and both certified and declined
+        assert 0 < sum(certified) < len(certified)
+
+    def test_favor_head_map_takes_no_full_svd(self, monkeypatch):
+        """A T=512, r=16 favor head map is counted without a (T, T) SVD;
+        the same size softmax map tagged low_rank(16) takes one."""
+        T = 512
+        rng = np.random.default_rng(512)
+        q, k = rng.standard_normal((2, T, 16)) / 4.0
+        favor = favor_mixer(q, k, draw_orthogonal_features(16, 16, 3))
+        mistag = MatrixMixer(softmax_mixer(q, k).m, MixerClass.low_rank(16))
+        full_calls = []
+        original = np.linalg.svd
+
+        def counting(a, *args, **kwargs):
+            if np.shape(a) == (T, T):
+                full_calls.append(kwargs.get("compute_uv"))
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        assert numerical_rank(favor) == 16
+        assert check_structure(favor).ok
+        assert full_calls == []
+        assert numerical_rank(mistag) == svd_rank(mistag.m) > 16
+        assert not check_structure(mistag).ok
+        # one for the mixer, one for svd_rank here
+        assert full_calls == [False, False]
+        monkeypatch.setattr(np.linalg, "svd", original)
+        assert svd_rank(favor.m) == 16
 
 
 class TestPairwiseHistogram:
@@ -530,14 +644,16 @@ class TestApproximationErrorCurve:
         np.testing.assert_allclose(got, float(np.median(errors)), atol=1e-15)
 
     def test_matches_per_draw_favor_mixers_bit_for_bit(self):
-        """At the size diagnose runs: T=512, d=16, r 16 and 1024."""
+        """At the size diagnose runs: T=512, d=16. Feature counts out of
+        order reuse feature scratch last filled by a larger count."""
         for seed in range(4):
             rng = np.random.default_rng(300 + seed)
             q = rng.standard_normal((512, 16)) / 4.0
             k = rng.standard_normal((512, 16)) / 4.0
             seeds = [seed, seed + 10]
-            got = approximation_error_curve(q, k, (16, 1024), seeds)
-            assert got == approximation_error_curve_reference(q, k, (16, 1024), seeds)
+            for r_values in ((16, 1024), (1024, 16, 256)):
+                got = approximation_error_curve(q, k, r_values, seeds)
+                assert got == approximation_error_curve_reference(q, k, r_values, seeds)
 
     @pytest.mark.parametrize(
         "r_values, seeds",
