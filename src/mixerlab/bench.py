@@ -3,14 +3,15 @@
 Times the operational forms only (streamed attention, feature-space
 linear attention, sequential scans), never materialized T x T matrices.
 For each sequence length the inputs are generated from the seed outside
-the timed region, one warmup run is discarded, and the median of the
-timed repeats is recorded. A least-squares line through (log T,
-log time) then estimates the empirical complexity exponent: ~2 for the
-quadratic attention path, ~1 for the linear-time paths.
+the timed region and one warmup run is discarded; the lengths then take
+turns through the timed repeats, and each one's median is recorded. A
+least-squares line through (log T, log time) then estimates the
+empirical complexity exponent: ~2 for the quadratic attention path, ~1
+for the linear-time paths.
 
 Measurements are single-threaded by contract: operations run strictly
-one after another on the calling thread. Inputs are drawn like the
-cases of ``mixerlab equiv``, through the same seeded-case helpers.
+one after another on the calling thread. Scan and favor inputs are
+drawn like the cases of ``mixerlab equiv``, from one table of mixer kinds.
 """
 
 from __future__ import annotations
@@ -18,30 +19,17 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from statistics import median
-from typing import Callable, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
 from ._io import write_csv
-from .attention import (
-    QkvTriple,
-    draw_orthogonal_features,
-    favor_attention,
-    softmax_attention,
-)
+from .attention import QkvTriple, draw_orthogonal_features, favor_attention, favor_mixer
+from .attention import softmax_attention
 from .mixer_core import _check_int, _is_int, _is_real
-from .rng import derive_seed, make_rng
-from .ssm import (
-    BiMambaParams,
-    HydraParams,
-    ScanParams,
-    bimamba_apply,
-    bimamba_mixer,
-    hydra_apply,
-    hydra_mixer,
-    ssm_mixer,
-    ssm_scan,
-)
+from .rng import make_rng
+from .ssm import BiMambaParams, HydraParams, ScanParams, bimamba_apply, bimamba_mixer
+from .ssm import hydra_apply, hydra_mixer, ssm_mixer, ssm_scan
 
 __all__ = [
     "OP_LABELS",
@@ -120,39 +108,65 @@ def _random_scan_params(rng: np.random.Generator, T: int, N: int) -> ScanParams:
     )
 
 
-def _scan_kind(kind: str):
-    """(seeded parameter draw, recurrence, materialized mixer) of the scan
-    kind ``ssm``, ``bimamba`` or ``hydra``. Built per call, so that wrappers
-    installed on these module names see the calls."""
-    draw = _random_scan_params
+def _or_draw(rng: np.random.Generator, v, hi: int) -> int:
+    return int(rng.integers(1, hi + 1)) if v is None else v
+
+
+def _draw_favor(rng: np.random.Generator, T, d, r):
+    T = _or_draw(rng, T, 16)
+    qkv = _random_qkv(rng, T, _or_draw(rng, d, 8))
+    omega = draw_orthogonal_features(qkv.d_head, _or_draw(rng, r, 16), int(rng.integers(0, 2**62)))
+    return (qkv, omega), qkv.v
+
+
+def _mixer_kinds() -> dict:
+    """Kind -> (draw, fast, matrix) of ``equiv``'s suites and the bench ops,
+    built per call so that wrappers installed on these module names see
+    the calls. ``draw(rng, T, d, size) -> (params, x)``, ``size`` being a
+    scan's N or favor's r, draws a None argument where ``equiv`` does: a
+    scan draws T in [1, 32], N in [1, 8], x of shape (T,) (d is unused),
+    then its parameters; favor draws T in [1, 16], d in [1, 8], q, k, v
+    (x is v, which params carry too), r in [1, 16], then the feature
+    seed. ``fast(params, x)`` must equal ``apply_mixer(matrix(params), x)``.
+    """
+
+    def scan(make):
+        def draw(rng, T, d, N):
+            T, N = _or_draw(rng, T, 32), _or_draw(rng, N, 8)
+            x = rng.standard_normal(T)
+            return make(rng, T, N), x
+        return draw
+
+    p = _random_scan_params
     return {
-        "ssm": (draw, ssm_scan, ssm_mixer),
+        "ssm": (scan(p), ssm_scan, ssm_mixer),
         "bimamba": (
-            lambda rng, T, N: BiMambaParams(draw(rng, T, N), draw(rng, T, N)),
+            scan(lambda rng, T, N: BiMambaParams(p(rng, T, N), p(rng, T, N))),
             bimamba_apply,
             bimamba_mixer,
         ),
         "hydra": (
-            lambda rng, T, N: HydraParams(draw(rng, T, N), draw(rng, T, N), rng.standard_normal(T)),
+            scan(lambda rng, T, N: HydraParams(p(rng, T, N), p(rng, T, N), rng.standard_normal(T))),
             hydra_apply,
             hydra_mixer,
         ),
-    }[kind]
+        "favor": (
+            _draw_favor,
+            lambda params, v: favor_attention(*params).data,
+            lambda params: favor_mixer(params[0].q, params[0].k, params[1]),
+        ),
+    }
 
 
 def _setup(op_label: str, T: int, d: int, r_or_N: int, seed: int, stream: int):
     """Build seeded inputs and return the thunk to time."""
     rng = make_rng(seed, stream)
-    if op_label in ("softmax_attention", "favor_attention"):
+    if op_label == "softmax_attention":
         qkv = _random_qkv(rng, T, d)
-        if op_label == "softmax_attention":
-            return lambda: softmax_attention(qkv)
-        omega = draw_orthogonal_features(d, r_or_N, derive_seed(seed, stream, 1))
-        return lambda: favor_attention(qkv, omega)
-    draw, recurrence, _ = _scan_kind(op_label.removesuffix("_scan"))
-    x = rng.standard_normal(T)
-    params = draw(rng, T, r_or_N)
-    return lambda: recurrence(params, x)
+        return lambda: softmax_attention(qkv)
+    draw, fast, _ = _mixer_kinds()[op_label.split("_")[0]]
+    params, x = draw(rng, T, d, r_or_N)
+    return lambda: fast(params, x)
 
 
 def time_operation(
@@ -165,8 +179,10 @@ def time_operation(
 ) -> list:
     """Time one operation across ascending sequence lengths.
 
-    Per length: seeded input generation (untimed), one warmup run
-    (untimed), then ``repeats`` timed runs whose median is recorded.
+    Seeded inputs for every length (untimed), then a warmup round whose
+    times are dropped and ``repeats`` timed rounds, each over all lengths,
+    so that a slow spell of the host hits every length alike; each
+    length's median is recorded.
     """
     if op_label not in OP_LABELS:
         raise ValueError(f"unknown op_label {op_label!r}; expected one of {OP_LABELS}")
@@ -178,26 +194,17 @@ def time_operation(
     if any(b <= a for a, b in zip(ts, ts[1:])):
         raise ValueError(f"T_values must be strictly ascending, got {ts}")
     _check_int("repeats", repeats, 3)
-    samples = []
-    for ti, T in enumerate(ts):
-        thunk = _setup(op_label, T, d, r_or_N, seed, ti)
-        thunk()
-        times = []
-        for _ in range(repeats):
+    thunks = [_setup(op_label, T, d, r_or_N, seed, ti) for ti, T in enumerate(ts)]
+    times = [[] for _ in ts]
+    for _ in range(1 + repeats):  # the first round is the warmup
+        for thunk, row in zip(thunks, times):
             start = time.perf_counter()
             thunk()
-            times.append(time.perf_counter() - start)
-        samples.append(
-            BenchSample(
-                op_label=op_label,
-                T=T,
-                d=d,
-                r_or_N=r_or_N,
-                wall_time=float(median(times)),
-                repeats=repeats,
-            )
-        )
-    return samples
+            row.append(time.perf_counter() - start)
+    return [
+        BenchSample(op_label, T, d, r_or_N, float(median(row[1:])), repeats)
+        for T, row in zip(ts, times)
+    ]
 
 
 def fit_loglog_slope(samples: Sequence[BenchSample]) -> ScalingReport:

@@ -34,6 +34,8 @@ does not match its config.
 
 from __future__ import annotations
 
+import math
+import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping, Optional, Sequence, Tuple, Union
@@ -698,80 +700,88 @@ def stack_from_tensors(
     return _build_stack(cfg, seed, lambda i, omegas: tensors, False)
 
 
+def _manifest_line(name, shape: Tuple[int, ...], offset: int) -> str:
+    """``name d0xd1x... offset``, the one entry rule of writer and reader: a
+    name without whitespace and a non-empty shape, or ValueError."""
+    if not isinstance(name, str) or not name or any(ch.isspace() for ch in name):
+        raise ValueError(f"invalid tensor name {name!r}")
+    if len(shape) < 1:
+        raise ValueError(f"tensor {name!r} must be at least 1-dimensional")
+    if min(shape) < 1:
+        raise ValueError(f"tensor {name!r} must be non-empty, got shape {shape}")
+    return f"{name} {'x'.join(str(s) for s in shape)} {offset}"
+
+
 def save_tensors(path, tensors: Mapping[str, np.ndarray]) -> None:
     """Write named float64 tensors to the flat binary container format.
 
     UTF-8 manifest: a magic line, then ``name d0xd1x... offset`` per
     tensor (offsets into the payload, insertion order), a blank line,
     then the little-endian float64 payload. Names must be non-empty and
-    contain no whitespace; tensors must be at least 1-dimensional
-    (store scalars as shape-(1,) arrays) and real, checked before any
-    file is written. Non-finite values are kept: they load back exactly.
+    contain no whitespace; tensors must be non-empty, at least 1-dimensional
+    (store scalars as shape-(1,) arrays) and real, checked before any file
+    is written, each then written from its own array. Non-finite values
+    are kept: they load back exactly.
     """
-    lines = [TENSOR_MAGIC]
-    blobs = []
-    offset = 0
+    lines, arrays, offset = [TENSOR_MAGIC], [], 0
     for name, arr in tensors.items():
-        if not name or any(ch.isspace() for ch in name):
-            raise ValueError(f"invalid tensor name {name!r}")
-        a = _real_array(arr, f"tensor {name!r}")
-        if a.ndim < 1:
-            raise ValueError(f"tensor {name!r} must be at least 1-dimensional")
-        blob = np.ascontiguousarray(a, dtype="<f8").tobytes()
-        shape = "x".join(str(s) for s in a.shape)
-        lines.append(f"{name} {shape} {offset}")
-        blobs.append(blob)
-        offset += len(blob)
-    payload = b"".join(blobs)
+        a = np.asarray(arr)
+        lines.append(_manifest_line(name, a.shape, offset))
+        arrays.append(np.asarray(_real_array(a, f"tensor {name!r}"), dtype=np.float64))
+        offset += 8 * a.size
     Path(path).parent.mkdir(parents=True, exist_ok=True)
-    Path(path).write_bytes("\n".join(lines).encode("utf-8") + b"\n\n" + payload)
+    with open(path, "wb") as fh:
+        fh.write(("\n".join(lines) + "\n\n").encode("utf-8"))
+        for a in arrays:
+            fh.write(np.ascontiguousarray(a, dtype="<f8").data)
 
 
 def load_tensors(path) -> dict:
     """Read a container written by :func:`save_tensors`; name -> tensor.
 
-    The manifest's offsets must tile the payload exactly, in manifest
-    order: each tensor starts where the previous one ends, the first at
-    0, and the last ends at the end of the file. Aliased, overlapping,
-    reordered or gapped offsets and trailing bytes raise ValueError.
+    Manifest lines must be as :func:`save_tensors` writes them, and their
+    offsets must tile the payload exactly, in manifest order: each tensor
+    starts where the previous one ends, the first at 0, and the last ends
+    at the end of the file. Aliased, overlapping, reordered or gapped
+    offsets and trailing bytes raise ValueError. Each tensor is read into
+    its own array once its size is known to fit in the file.
     """
-    data = Path(path).read_bytes()
-    sep = data.find(b"\n\n")
-    if sep < 0:
-        raise ValueError(f"{path}: missing manifest terminator")
-    lines = data[:sep].decode("utf-8").split("\n")
-    if lines[0] != TENSOR_MAGIC:
-        raise ValueError(f"{path}: bad magic line {lines[0]!r}")
-    payload = data[sep + 2 :]
-    out = {}
-    expected_offset = 0
-    for line in lines[1:]:
-        parts = line.split(" ")
-        if len(parts) != 3:
-            raise ValueError(f"{path}: malformed manifest line {line!r}")
-        name, shape_s, off_s = parts
-        if name in out:
-            raise ValueError(f"{path}: duplicate tensor name {name!r}")
-        try:
-            shape = tuple(int(s) for s in shape_s.split("x"))
-            offset = int(off_s)
-        except ValueError:
-            raise ValueError(f"{path}: malformed manifest line {line!r}") from None
-        if any(s < 1 for s in shape) or offset < 0:
-            raise ValueError(f"{path}: malformed manifest line {line!r}")
-        if offset != expected_offset:
-            raise ValueError(
-                f"{path}: tensor {name!r} starts at payload offset {offset}, "
-                f"expected {expected_offset}"
-            )
-        count = int(np.prod(shape))
-        if offset + 8 * count > len(payload):
-            raise ValueError(f"{path}: payload truncated for tensor {name!r}")
-        arr = np.frombuffer(payload, dtype="<f8", count=count, offset=offset)
-        out[name] = arr.reshape(shape).astype(np.float64, copy=True)
-        expected_offset = offset + 8 * count
-    if expected_offset != len(payload):
-        raise ValueError(
-            f"{path}: {len(payload) - expected_offset} bytes after the last tensor"
-        )
+    with open(path, "rb") as fh:
+        raw = []
+        for line in fh:
+            if line == b"\n" and raw:
+                break
+            raw.append(line)
+        else:
+            raise ValueError(f"{path}: missing manifest terminator")
+        lines = b"".join(raw).decode("utf-8")[:-1].split("\n")
+        if lines[0] != TENSOR_MAGIC:
+            raise ValueError(f"{path}: bad magic line {lines[0]!r}")
+        payload_bytes = os.fstat(fh.fileno()).st_size - fh.tell()
+        out = {}
+        expected_offset = 0
+        for line in lines[1:]:
+            try:
+                name, shape_s, off_s = line.split(" ")
+                shape = tuple(int(s) for s in shape_s.split("x"))
+                offset = int(off_s)
+                if _manifest_line(name, shape, offset) != line:
+                    raise ValueError
+            except ValueError:
+                raise ValueError(f"{path}: malformed manifest line {line!r}") from None
+            if name in out:
+                raise ValueError(f"{path}: duplicate tensor name {name!r}")
+            if offset != expected_offset:
+                raise ValueError(
+                    f"{path}: tensor {name!r} starts at payload offset {offset}, "
+                    f"expected {expected_offset}"
+                )
+            nbytes = 8 * math.prod(shape)
+            arr = np.empty(shape, dtype="<f8") if offset + nbytes <= payload_bytes else None
+            if arr is None or fh.readinto(arr.data) != nbytes:
+                raise ValueError(f"{path}: payload truncated for tensor {name!r}")
+            out[name] = arr.astype(np.float64, copy=False)
+            expected_offset = offset + nbytes
+    if expected_offset != payload_bytes:
+        raise ValueError(f"{path}: {payload_bytes - expected_offset} bytes after the last tensor")
     return out

@@ -35,10 +35,9 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from ._io import write_csv
-from .attention import MultiHeadConfig, draw_orthogonal_features, favor_attention, favor_mixer
-from .attention import softmax_mixer
+from .attention import MultiHeadConfig, draw_orthogonal_features, favor_mixer, softmax_mixer
 from .bench import OP_LABELS, fit_loglog_slope, time_operation, write_bench_csv, write_scaling_csv
-from .bench import _random_qkv, _scan_kind
+from .bench import _mixer_kinds
 from .blocks import (
     BlockStackConfig,
     block_forward,
@@ -245,22 +244,11 @@ def _out_path(cfg: RunConfig, name: str) -> Path:
 
 
 def _equiv_case_err(kind: str, rng: np.random.Generator, force_T: Optional[int]) -> float:
-    if kind == "favor":
-        T = force_T if force_T is not None else int(rng.integers(1, 17))
-        d = int(rng.integers(1, 9))
-        qkv = _random_qkv(rng, T, d)
-        omega = draw_orthogonal_features(d, int(rng.integers(1, 17)), int(rng.integers(0, 2**62)))
-        direct = favor_attention(qkv, omega).data
-        via_mixer = apply_mixer(favor_mixer(qkv.q, qkv.k, omega), FeatureSequence(qkv.v)).data
-    else:
-        draw, recurrence, mixer = _scan_kind(kind)
-        T = force_T if force_T is not None else int(rng.integers(1, 33))
-        N = int(rng.integers(1, 9))
-        x = rng.standard_normal(T)
-        p = draw(rng, T, N)
-        direct = recurrence(p, x)
-        via_mixer = apply_mixer(mixer(p), FeatureSequence(x[:, None])).data[:, 0]
-    return float(np.max(np.abs(direct - via_mixer)))
+    draw, fast, matrix = _mixer_kinds()[kind]
+    params, x = draw(rng, force_T, None, None)
+    xs = x.reshape(len(x), -1)
+    via_mixer = apply_mixer(matrix(params), FeatureSequence(xs)).data
+    return float(np.max(np.abs(fast(params, x).reshape(xs.shape) - via_mixer)))
 
 
 def cmd_equiv(cfg: RunConfig) -> int:
@@ -273,7 +261,7 @@ def cmd_equiv(cfg: RunConfig) -> int:
     """
     rows = []
     all_pass = True
-    for si, kind in enumerate(("ssm", "bimamba", "hydra", "favor")):
+    for si, kind in enumerate(_mixer_kinds()):
         rng = make_rng(cfg.seed, 10 + si)
         max_err = 0.0
         for case in range(cfg.cases):

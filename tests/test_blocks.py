@@ -644,6 +644,95 @@ class TestTensorContainer:
         with pytest.raises(ValueError):
             save_tensors(tmp_path / "t.bin", {"bad name": np.zeros(2)})
 
+    @pytest.mark.parametrize("shape", [(0, 3), (0,), (4, 0)])
+    def test_writer_refuses_empty_tensors_the_reader_refuses(self, tmp_path, shape):
+        """A manifest line with a zero dimension does not load, so the
+        writer refuses it before writing anything."""
+        path = tmp_path / "t.bin"
+        path.write_bytes(f"{TENSOR_MAGIC}\ne {'x'.join(map(str, shape))} 0\n\n".encode())
+        with pytest.raises(ValueError, match="malformed manifest line"):
+            load_tensors(path)
+        path.unlink()
+        with pytest.raises(ValueError, match="must be non-empty"):
+            save_tensors(path, {"ok": np.zeros(2), "e": np.zeros(shape)})
+        assert not path.exists()
+
+    @pytest.mark.parametrize("line", [" 2 0", "a\tb 2 0", "a\u00a0b 2 0", "a 02 0", "a +2 0",
+                                      "a 2 +0", "a 1_0 0", "a 2x 0", "a 2 0 "])
+    def test_reader_refuses_lines_the_writer_never_writes(self, tmp_path, line):
+        path = tmp_path / "t.bin"
+        path.write_bytes(f"{TENSOR_MAGIC}\n{line}\n\n".encode() + bytes(80))
+        with pytest.raises(ValueError, match="malformed manifest line"):
+            load_tensors(path)
+
+    @pytest.mark.parametrize("name", ["", "a\tb", "a\u00a0b", 5])
+    def test_writer_refuses_names_the_reader_refuses(self, tmp_path, name):
+        with pytest.raises(ValueError, match="invalid tensor name"):
+            save_tensors(tmp_path / "t.bin", {name: np.zeros(2)})
+        assert not (tmp_path / "t.bin").exists()
+
+    def test_load_holds_only_the_tensors(self, tmp_path):
+        """The reader reads each tensor into its own array: its traced peak
+        is the payload plus at most 1 MB, not the file plus the tensors."""
+        rng = np.random.default_rng(18)
+        tensors = {f"w{i}": rng.standard_normal((256, 512)) for i in range(8)}
+        path = tmp_path / "t.bin"
+        save_tensors(path, tensors)
+        payload = sum(a.nbytes for a in tensors.values())
+        tracemalloc.start()
+        try:
+            loaded = load_tensors(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= payload + 1e6
+        for name, arr in tensors.items():
+            assert np.array_equal(loaded[name], arr)
+            assert loaded[name].flags.writeable and loaded[name].dtype == np.float64
+
+    def test_save_writes_straight_from_the_arrays(self, tmp_path):
+        """C-contiguous float64 tensors are written without a copy: the
+        traced peak stays under 1 MB for an 8 MB payload."""
+        rng = np.random.default_rng(19)
+        tensors = {f"w{i}": rng.standard_normal((256, 512)) for i in range(8)}
+        path = tmp_path / "t.bin"
+        tracemalloc.start()
+        try:
+            save_tensors(path, tensors)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1e6
+        loaded = load_tensors(path)
+        assert all(np.array_equal(loaded[n], a) for n, a in tensors.items())
+
+    @pytest.mark.parametrize("shape", ["1099511627776", "1048576x1048576"])
+    def test_hostile_shape_raises_before_allocating(self, tmp_path, shape):
+        """A manifest that claims 2**40 elements over a 16-byte payload is
+        refused as truncated, not with a MemoryError, and allocates nothing
+        of the claimed size."""
+        path = tmp_path / "t.bin"
+        path.write_bytes(f"{TENSOR_MAGIC}\nw {shape} 0\n\n".encode() + bytes(16))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="payload truncated for tensor 'w'"):
+                load_tensors(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1e6
+
+    def test_non_contiguous_and_integer_tensors_round_trip(self, tmp_path):
+        path = tmp_path / "t.bin"
+        base = np.arange(24.0).reshape(4, 6)
+        tensors = {"t": base.T, "s": base[:, ::2], "i": np.arange(5), "b": np.array([True, False]),
+                   "be": np.arange(3.0).astype(">f8")}
+        save_tensors(path, tensors)
+        loaded = load_tensors(path)
+        assert list(loaded) == list(tensors)
+        for name, arr in tensors.items():
+            assert np.array_equal(loaded[name], np.asarray(arr, dtype=np.float64))
+
     @pytest.mark.parametrize("kind", MIXER_KINDS)
     def test_stack_roundtrip_through_container(self, tmp_path, kind):
         cfg = BlockStackConfig(d_model=8, num_blocks=2, kernel_size=3, mixer_kind=kind,

@@ -14,6 +14,7 @@ import pytest
 
 import mixerlab
 from mixerlab import (
+    TENSOR_MAGIC,
     BiMambaParams,
     BlockStackConfig,
     FeatureSequence,
@@ -39,6 +40,7 @@ from mixerlab import (
     stack_from_tensors,
     with_zeroed_projections,
 )
+from mixerlab import bench
 from mixerlab.cli import ConfigError, RunConfig, _equiv_case_err, main, parse_config_file
 
 
@@ -57,45 +59,52 @@ def _random_scan_params_reference(rng, T, N):
     )
 
 
-def _equiv_case_err_reference(kind, rng, force_T):
-    """One equiv case with each kind's draw and comparison spelled out:
-    T, then N or d, then the inputs, then the parameters, each hydra
-    drawing its forward, backward and diagonal parts in that order."""
-    if kind == "favor":
-        T = force_T if force_T is not None else int(rng.integers(1, 17))
-        d = int(rng.integers(1, 9))
-        scale = 1.0 / np.sqrt(d)
-        qkv = QkvTriple(
-            q=rng.standard_normal((T, d)) * scale,
-            k=rng.standard_normal((T, d)) * scale,
-            v=rng.standard_normal((T, d)),
-        )
-        omega = draw_orthogonal_features(d, int(rng.integers(1, 17)), int(rng.integers(0, 2**62)))
-        direct = favor_attention(qkv, omega).data
-        via_mixer = apply_mixer(favor_mixer(qkv.q, qkv.k, omega), FeatureSequence(qkv.v)).data
-        return float(np.max(np.abs(direct - via_mixer)))
-    T = force_T if force_T is not None else int(rng.integers(1, 33))
-    N = int(rng.integers(1, 9))
+def _favor_case_reference(rng, T, d, r):
+    """q, k, v at width d, then r (drawn in [1, 16] when None), then the
+    feature seed; returns the fast and the materialized outputs."""
+    scale = 1.0 / np.sqrt(d)
+    qkv = QkvTriple(
+        q=rng.standard_normal((T, d)) * scale,
+        k=rng.standard_normal((T, d)) * scale,
+        v=rng.standard_normal((T, d)),
+    )
+    r = int(rng.integers(1, 17)) if r is None else r
+    omega = draw_orthogonal_features(d, r, int(rng.integers(0, 2**62)))
+    direct = favor_attention(qkv, omega).data
+    return direct, apply_mixer(favor_mixer(qkv.q, qkv.k, omega), FeatureSequence(qkv.v)).data
+
+
+def _scan_case_reference(kind, rng, T, N):
+    """x, then the parameters, each hydra drawing its forward, backward
+    and diagonal parts in that order; returns the fast and the
+    materialized outputs."""
     x = rng.standard_normal(T)
     xs = FeatureSequence(x[:, None])
     if kind == "ssm":
         p = _random_scan_params_reference(rng, T, N)
-        direct = ssm_scan(p, x)
-        via_mixer = apply_mixer(ssm_mixer(p), xs).data[:, 0]
-    elif kind == "bimamba":
+        return ssm_scan(p, x), apply_mixer(ssm_mixer(p), xs).data[:, 0]
+    if kind == "bimamba":
         p = BiMambaParams(
             _random_scan_params_reference(rng, T, N), _random_scan_params_reference(rng, T, N)
         )
-        direct = bimamba_apply(p, x)
-        via_mixer = apply_mixer(bimamba_mixer(p), xs).data[:, 0]
+        return bimamba_apply(p, x), apply_mixer(bimamba_mixer(p), xs).data[:, 0]
+    p = HydraParams(
+        _random_scan_params_reference(rng, T, N),
+        _random_scan_params_reference(rng, T, N),
+        rng.standard_normal(T),
+    )
+    return hydra_apply(p, x), apply_mixer(hydra_mixer(p), xs).data[:, 0]
+
+
+def _equiv_case_err_reference(kind, rng, force_T):
+    """One equiv case with each kind's draw and comparison spelled out:
+    T, then N or d, then the rest of the case."""
+    if kind == "favor":
+        T = force_T if force_T is not None else int(rng.integers(1, 17))
+        direct, via_mixer = _favor_case_reference(rng, T, int(rng.integers(1, 9)), None)
     else:
-        p = HydraParams(
-            _random_scan_params_reference(rng, T, N),
-            _random_scan_params_reference(rng, T, N),
-            rng.standard_normal(T),
-        )
-        direct = hydra_apply(p, x)
-        via_mixer = apply_mixer(hydra_mixer(p), xs).data[:, 0]
+        T = force_T if force_T is not None else int(rng.integers(1, 33))
+        direct, via_mixer = _scan_case_reference(kind, rng, T, int(rng.integers(1, 9)))
     return float(np.max(np.abs(direct - via_mixer)))
 
 
@@ -277,6 +286,21 @@ class TestEquivCommand:
             # both generators must have consumed the same draws
             assert got.integers(0, 2**62) == ref.integers(0, 2**62)
 
+    @pytest.mark.parametrize("label", ["ssm_scan", "bimamba_scan", "hydra_scan", "favor_attention"])
+    def test_bench_draws_its_inputs_like_equiv(self, label):
+        """A bench op at fixed sizes times the fast form of the case the
+        reference draws from the same stream at those sizes."""
+        kind = label.split("_")[0]
+        for seed, stream in ((0, 0), (9, 2), (2**63 + 5, 4)):
+            for T, d, size in ((1, 1, 1), (24, 3, 5), (40, 6, 16)):
+                got = bench._setup(label, T, d, size, seed, stream)()
+                ref = make_rng(seed, stream)
+                if kind == "favor":
+                    want, _ = _favor_case_reference(ref, T, d, size)
+                else:
+                    want, _ = _scan_case_reference(kind, ref, T, size)
+                assert np.array_equal(got, want)
+
     def test_default_tolerance_passes(self, tmp_path, capsys):
         code = main(["equiv", "--cases", "25", "--out", str(tmp_path)])
         assert code == 0
@@ -393,6 +417,18 @@ class TestDiagnoseCommand:
         path.write_bytes(path.read_bytes() + b"\x00" * 8)
         code = main(["diagnose", "--qk_dump", str(path), "--out", str(tmp_path)])
         assert code == 2
+
+    @pytest.mark.parametrize("manifest", ["q 1099511627776 0", "q 4x2 0\nk 0x2 64"],
+                             ids=["2**40-elements", "empty-k"])
+    def test_dump_the_writer_would_refuse_exits_2(self, tmp_path, capsys, manifest):
+        """A dump claiming more data than the file holds, or an empty
+        tensor, is a ValueError (exit 2), never a MemoryError."""
+        path = tmp_path / "qk.bin"
+        path.write_bytes(f"{TENSOR_MAGIC}\n{manifest}\n\n".encode() + bytes(64))
+        code = main(["diagnose", "--qk_dump", str(path), "--out", str(tmp_path)])
+        assert code == 2
+        assert "qk.bin" in capsys.readouterr().err
+        assert not (tmp_path / "rank_report.csv").exists()
 
     def test_indivisible_heads_rejected(self, tmp_path, capsys):
         code = main(
