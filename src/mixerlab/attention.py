@@ -15,7 +15,8 @@ approximation to the quadratic form, and ``phi(Q) @ phi(K).T`` (row
 normalized) is its rank-<=r materialized mixer.
 
 Both forms produce row-stochastic mixing matrices: non-negative entries
-with unit row sums.
+with unit row sums. Multi-head attention is FAVOR+ exactly when it holds
+feature matrices.
 """
 
 from __future__ import annotations
@@ -226,13 +227,23 @@ def softmax_attention(qkv: QkvTriple) -> FeatureSequence:
     rows = min(_SOFTMAX_CHUNK, T)
     buf = np.empty((rows, T))
     col = np.empty((rows, 1))
-    for lo in range(0, T, _SOFTMAX_CHUNK):
-        hi = min(lo + _SOFTMAX_CHUNK, T)
-        n = hi - lo
-        np.matmul(q[lo:hi], kt, out=buf[:n])
-        _row_softmax(buf[:n], col[:n])
-        np.matmul(buf[:n], v, out=out[lo:hi])
+    # overflowing logits leave NaNs, which FeatureSequence's check raises
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, T, _SOFTMAX_CHUNK):
+            hi = min(lo + _SOFTMAX_CHUNK, T)
+            n = hi - lo
+            np.matmul(q[lo:hi], kt, out=buf[:n])
+            _row_softmax(buf[:n], col[:n])
+            np.matmul(buf[:n], v, out=out[lo:hi])
     return FeatureSequence(_Fresh(out))
+
+
+def _check_qk(q, k) -> Tuple[np.ndarray, np.ndarray]:
+    q = _as_float_array(q, "q", 2)
+    k = _as_float_array(k, "k", 2)
+    if q.shape != k.shape:
+        raise ShapeError(f"q and k must share one shape, got {q.shape} and {k.shape}")
+    return q, k
 
 
 def softmax_mixer(q, k) -> MatrixMixer:
@@ -241,11 +252,9 @@ def softmax_mixer(q, k) -> MatrixMixer:
     Returned with a ``dense`` class tag; the map is row stochastic and
     generically full rank. O(T^2) memory.
     """
-    q = _as_float_array(q, "q", 2)
-    k = _as_float_array(k, "k", 2)
-    if q.shape != k.shape:
-        raise ShapeError(f"q and k must share one shape, got {q.shape} and {k.shape}")
-    return MatrixMixer(_Fresh(_row_softmax(q @ k.T)), MixerClass.dense())
+    q, k = _check_qk(q, k)
+    with np.errstate(over="ignore", invalid="ignore"):  # MatrixMixer checks finiteness
+        return MatrixMixer(_Fresh(_row_softmax(q @ k.T)), MixerClass.dense())
 
 
 def draw_orthogonal_features(d_head: int, r: int, seed: int) -> OrthogonalFeatureMatrix:
@@ -307,15 +316,16 @@ def _feature_map(x: np.ndarray, omega: OrthogonalFeatureMatrix, stabilize: bool,
         raise ShapeError(
             f"x has width {x.shape[1]} but omega expects d_head={omega.d_head}"
         )
-    # one (T, r) buffer from the product to the result
-    out = np.matmul(x, omega.omega.T, out=into)
-    out -= 0.5 * np.sum(x * x, axis=1, keepdims=True)
-    checked = False
-    if stabilize:
-        top = out.max()
-        out -= top
-        checked = bool(np.isfinite(top))
-    with np.errstate(over="ignore"):
+    # one (T, r) buffer from the product to the result; an overflow leaves
+    # inf or NaN, which the check below raises, or a -inf exponent: feature 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.matmul(x, omega.omega.T, out=into)
+        out -= 0.5 * np.sum(x * x, axis=1, keepdims=True)
+        checked = False
+        if stabilize:
+            top = out.max()
+            out -= top
+            checked = bool(np.isfinite(top))
         np.exp(out, out=out)
     if not checked and not np.all(np.isfinite(out)):
         raise NumericRangeError("feature map overflowed; inputs are too large")
@@ -353,10 +363,7 @@ def favor_mixer(q, k, omega: OrthogonalFeatureMatrix) -> MatrixMixer:
     Rows of ``phi(q) @ phi(k).T`` normalized to unit sum; the rank is at
     most r by construction. O(T^2) memory.
     """
-    q = _as_float_array(q, "q", 2)
-    k = _as_float_array(k, "k", 2)
-    if q.shape != k.shape:
-        raise ShapeError(f"q and k must share one shape, got {q.shape} and {k.shape}")
+    q, k = _check_qk(q, k)
     return MatrixMixer(_Fresh(_favor_weights(q, k, omega)), MixerClass.low_rank(omega.r))
 
 
@@ -411,13 +418,11 @@ def apply_rope(x, config: RopeConfig) -> np.ndarray:
     return out
 
 
-def _check_attention_args(kind, weights, config, rope, omegas):
+def _check_attention_args(weights, config, rope, omegas):
     """Check that the parts of an attention mixer fit together.
 
-    Returns ``omegas`` as a tuple (None unless ``kind == "favor"``).
+    Returns ``omegas`` as a tuple, or None for softmax attention.
     """
-    if kind not in ("softmax", "favor"):
-        raise ValueError(f"kind must be 'softmax' or 'favor', got {kind!r}")
     if weights.d_model != config.d_model:
         raise ShapeError(
             f"weights are for d_model={weights.d_model}, config says {config.d_model}"
@@ -426,11 +431,9 @@ def _check_attention_args(kind, weights, config, rope, omegas):
         raise ShapeError(
             f"rope is for d_head={rope.d_head}, config has d_head={config.d_head}"
         )
-    if kind != "favor":
-        if omegas is not None:
-            raise ValueError("omegas only apply to kind='favor'")
+    if omegas is None:
         return None
-    omegas = () if omegas is None else tuple(omegas)
+    omegas = tuple(omegas)
     if len(omegas) != config.num_heads:
         raise ValueError(
             f"favor attention needs one feature matrix per head "
@@ -448,7 +451,7 @@ def multi_head_attention(
     x: FeatureSequence,
     weights: MhaWeights,
     config: MultiHeadConfig,
-    kind: str,
+    *,
     rope: Optional[RopeConfig] = None,
     omegas: Optional[Sequence[OrthogonalFeatureMatrix]] = None,
 ) -> FeatureSequence:
@@ -456,12 +459,11 @@ def multi_head_attention(
 
     Projects x to Q, K, V, splits heads as contiguous d_head slices,
     optionally applies rotary embeddings to each head's Q and K, runs
-    softmax or random-feature attention per head (``kind`` selects),
-    writes each head into its slice of one array, and applies the output
-    projection. ``omegas`` supplies one feature matrix per head and is
-    required exactly when ``kind == "favor"``.
+    attention per head, writes each head into its slice of one array, and
+    applies the output projection. Attention is FAVOR+ exactly when
+    ``omegas`` gives feature matrices, one per head, else softmax.
     """
-    omegas = _check_attention_args(kind, weights, config, rope, omegas)
+    omegas = _check_attention_args(weights, config, rope, omegas)
     if x.d != config.d_model:
         raise ShapeError(f"sequence width {x.d} != d_model {config.d_model}")
 
@@ -476,7 +478,7 @@ def multi_head_attention(
         if rope is not None:
             q, k = _Fresh(apply_rope(q, rope)), _Fresh(apply_rope(k, rope))
         qkv = QkvTriple(q, k, v)
-        if kind == "softmax":
+        if omegas is None:
             heads[:, sl] = softmax_attention(qkv).data
         else:
             heads[:, sl] = favor_attention(qkv, omegas[h]).data

@@ -11,6 +11,7 @@ LayerNorm on the output:
 
 The mixer stage is a tagged union over four kinds (hydra, bimamba,
 favor, softmax) so the same surrounding weights can host any of them.
+An attention stage is favor exactly when it holds feature matrices.
 Every mixer kind ends in a d x d output projection; zeroing all the
 stage output projections turns the block into layer_norm exactly, which
 is the contract the tests pin down.
@@ -29,14 +30,14 @@ A block is a fixed set of named float64 tensors. :func:`init_stack`
 draws them and :func:`stack_from_tensors` reads them from the flat binary
 container of :func:`save_tensors`; one block builder turns either into
 blocks, and loading refuses a tensor it does not read or a stack that
-does not match its config.
+does not match its config. A container must be a seekable file, not a pipe.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import KW_ONLY, dataclass, replace
 from pathlib import Path
 from typing import Mapping, Optional, Sequence, Tuple, Union
 
@@ -243,21 +244,23 @@ def layer_norm_apply(x: FeatureSequence, scale, shift) -> FeatureSequence:
 class AttentionMixerConfig:
     """Attention mixer stage: multi-head softmax or random-feature kind.
 
-    ``omegas`` (one feature matrix per head) is required exactly for
-    kind "favor". ``rope`` optionally rotates per-head queries and keys.
+    ``omegas`` (one feature matrix per head) makes it kind "favor", and
+    None kind "softmax". ``rope`` optionally rotates per-head queries and keys.
     """
 
-    kind: str
     weights: MhaWeights
     head_config: MultiHeadConfig
+    _: KW_ONLY
     rope: Optional[RopeConfig] = None
     omegas: Optional[Tuple[OrthogonalFeatureMatrix, ...]] = None
 
     def __post_init__(self) -> None:
-        omegas = _check_attention_args(
-            self.kind, self.weights, self.head_config, self.rope, self.omegas
-        )
+        omegas = _check_attention_args(self.weights, self.head_config, self.rope, self.omegas)
         object.__setattr__(self, "omegas", omegas)
+
+    @property
+    def kind(self) -> str:
+        return "softmax" if self.omegas is None else "favor"
 
     @property
     def d(self) -> int:
@@ -346,12 +349,7 @@ def mixer_apply(x: FeatureSequence, config: MixerConfig) -> FeatureSequence:
     """Run the configured mixer stage on a sequence, width preserved."""
     if isinstance(config, AttentionMixerConfig):
         return multi_head_attention(
-            x,
-            config.weights,
-            config.head_config,
-            config.kind,
-            rope=config.rope,
-            omegas=config.omegas,
+            x, config.weights, config.head_config, rope=config.rope, omegas=config.omegas
         )
     if isinstance(config, HydraMixerConfig):
         mixed = hydra_channelwise(x, config.fwd, config.bwd, config.diag_gain)
@@ -610,7 +608,7 @@ def _build_block(
                     )
         rope = RopeConfig(heads.d_head) if heads.d_head % 2 == 0 else None
         weights = MhaWeights(*map(own, take("mixer", _MHA)))
-        mixer = AttentionMixerConfig(kind, weights, heads, rope, omegas)
+        mixer = AttentionMixerConfig(weights, heads, rope=rope, omegas=omegas)
     else:
         sides = (take(f"mixer.{side}", _SELECTIVE) for side in ("fwd", "bwd"))
         fwd, bwd = (SelectiveWeights(own(w), b.item(), own(wb), own(wc), a.item())
@@ -744,9 +742,11 @@ def load_tensors(path) -> dict:
     starts where the previous one ends, the first at 0, and the last ends
     at the end of the file. Aliased, overlapping, reordered or gapped
     offsets and trailing bytes raise ValueError. Each tensor is read into
-    its own array once its size is known to fit in the file.
+    its own array once its size is known to fit in the (seekable) file.
     """
     with open(path, "rb") as fh:
+        if not fh.seekable():
+            raise ValueError(f"{path}: a container must be a seekable file, not a pipe")
         raw = []
         for line in fh:
             if line == b"\n" and raw:

@@ -17,7 +17,7 @@ from typing import Iterable, Optional, Sequence, Tuple
 import numpy as np
 
 from ._io import write_csv
-from .attention import _favor_weights, draw_orthogonal_features, softmax_mixer
+from .attention import _check_qk, _favor_weights, draw_orthogonal_features, softmax_mixer
 from .mixer_core import (
     DEFAULT_RANK_TOL,
     MatrixMixer,
@@ -25,7 +25,6 @@ from .mixer_core import (
     NumericRangeError,
     _Fresh,
     _Frozen,
-    _as_float_array,
     _check_int,
     _check_tol,
     _freeze,
@@ -352,10 +351,7 @@ def approximation_error_curve(
     whatever the number of draws. The errors are bit for bit those of
     building ``favor_mixer(q, k, omega)`` for every draw.
     """
-    q = _as_float_array(q, "q", 2)
-    k = _as_float_array(k, "k", 2)
-    if q.shape != k.shape:
-        raise ValueError(f"q and k must share one shape, got {q.shape} and {k.shape}")
+    q, k = _check_qk(q, k)
     r_values, seeds = tuple(r_values), tuple(seeds)
     if len(r_values) == 0 or len(seeds) == 0:
         raise ValueError("r_values and seeds must be nonempty")

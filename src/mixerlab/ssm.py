@@ -17,9 +17,9 @@ has rank at most N. ``ssm_scan`` runs the O(T N) recurrence and
 The d channels of a sequence share one set of scan parameters, so mixing
 them is ``Y = m @ X`` with the same m for every column of X.
 ``bimamba_channelwise`` and ``hydra_channelwise`` derive the parameters
-once and scan each channel with the 1-D recurrence. The reverse step and
-the hydra shift and diagonal live in one place each, shared by the 1-D
-and the channelwise forms.
+once and run all channels through one forward/backward scan pair, the
+package's only loop over channels; ``bimamba_apply`` and ``hydra_apply``
+are its one-column calls.
 
 Selectivity means a, b, c are functions of the input sequence: a step
 size delta_t = softplus(w_delta . x_t + bias) sets a_t =
@@ -244,15 +244,20 @@ def ssm_scan(params: ScanParams, x) -> np.ndarray:
     return y
 
 
-def _both_ways(fwd: ScanParams, bwd: ScanParams, x: np.ndarray):
-    """Forward scan of x, and backward scan of reversed x flipped back."""
-    return ssm_scan(fwd, x), ssm_scan(bwd, x[::-1])[::-1]
+def _both_ways(fwd: ScanParams, bwd: ScanParams, X: np.ndarray):
+    """Forward scans of X's (T, d) columns, and backward scans of the
+    reversed columns flipped back: the package's one loop over channels."""
+    yf, yb = np.empty_like(X), np.empty_like(X)
+    for ch in range(X.shape[1]):
+        yf[:, ch] = ssm_scan(fwd, X[:, ch])
+        yb[::-1, ch] = ssm_scan(bwd, X[::-1, ch])
+    return yf, yb
 
 
-def _hydra(fwd: ScanParams, bwd: ScanParams, x: np.ndarray, diag) -> np.ndarray:
-    """Shifted scans of x plus ``diag * x``; ``diag`` is (T,) or a scalar."""
-    yf, yb = _both_ways(fwd, bwd, x)
-    y = diag * x
+def _hydra(fwd: ScanParams, bwd: ScanParams, X: np.ndarray, diag) -> np.ndarray:
+    """Shifted scans of X (T, d) plus ``diag * X``; ``diag`` is (T, 1) or (d,)."""
+    yf, yb = _both_ways(fwd, bwd, X)
+    y = diag * X
     y[1:] += yf[:-1]
     y[:-1] += yb[1:]
     return y
@@ -304,22 +309,23 @@ def selective_parameterize(x: FeatureSequence, weights: SelectiveWeights) -> Sca
     exp(a_log))``, ``b = delta * (x @ w_b.T)``, ``c = x @ w_c.T``. One
     shared parameter set serves every channel of x. Steps whose size or
     decay degenerates to zero (extreme inputs) are rejected rather than
-    clamped.
+    clamped; every overflow raises NumericRangeError, with no numpy warning.
     """
     if x.d != weights.d:
         raise ShapeError(f"sequence width {x.d} != weight width {weights.d}")
-    pre = x.data @ weights.w_delta + weights.bias
-    delta = np.logaddexp(0.0, pre)
-    if not np.all(delta > 0.0):
-        raise NumericRangeError("step size underflowed to zero")
-    rate = delta * np.exp(weights.a_log)
-    if not np.all(np.isfinite(rate)):
-        raise NumericRangeError("decay exponent overflowed")
-    a = np.exp(-rate)
-    if not np.all(a > 0.0):
-        raise NumericRangeError("decay underflowed to zero")
-    b = delta[:, None] * (x.data @ weights.w_b.T)
-    c = x.data @ weights.w_c.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        pre = x.data @ weights.w_delta + weights.bias
+        delta = np.logaddexp(0.0, pre)
+        if not np.all(delta > 0.0):
+            raise NumericRangeError("step size underflowed to zero")
+        rate = delta * np.exp(weights.a_log)
+        if not np.all(np.isfinite(rate)):
+            raise NumericRangeError("decay exponent overflowed")
+        a = np.exp(-rate)
+        if not np.all(a > 0.0):
+            raise NumericRangeError("decay underflowed to zero")
+        b = delta[:, None] * (x.data @ weights.w_b.T)
+        c = x.data @ weights.w_c.T
     if not (np.all(np.isfinite(b)) and np.all(np.isfinite(c))):
         raise NumericRangeError("scan parameters overflowed")
     return ScanParams(a=a, b=b, c=c, delta=delta)
@@ -336,8 +342,9 @@ def _selective_pair(x: FeatureSequence, fwd: SelectiveWeights, bwd: SelectiveWei
 def bimamba_apply(params: BiMambaParams, x) -> np.ndarray:
     """Forward scan plus reversed backward scan of the reversed signal."""
     x = _as_signal(x, params.T)
-    fwd, bwd = _both_ways(params.fwd, params.bwd, x)
-    return fwd + bwd
+    y, bwd_y = _both_ways(params.fwd, params.bwd, x[:, None])
+    y += bwd_y
+    return y[:, 0]
 
 
 def bimamba_mixer(params: BiMambaParams) -> MatrixMixer:
@@ -359,13 +366,11 @@ def bimamba_channelwise(
 
     Forward parameters come from x, backward parameters from reversed x.
     Every channel shares them, so the stage is ``bimamba_mixer(...).m @
-    x.data``, computed one channel at a time by :func:`bimamba_apply`.
+    x.data``, run as one call of the shared scan pair on all channels.
     """
-    params = BiMambaParams(*_selective_pair(x, fwd, bwd))
-    out = np.empty_like(x.data)
-    for ch in range(x.d):
-        out[:, ch] = bimamba_apply(params, x.data[:, ch])
-    return FeatureSequence(_Fresh(out))
+    y, bwd_y = _both_ways(*_selective_pair(x, fwd, bwd), x.data)
+    y += bwd_y
+    return FeatureSequence(_Fresh(y))
 
 
 def hydra_apply(params: HydraParams, x) -> np.ndarray:
@@ -376,7 +381,7 @@ def hydra_apply(params: HydraParams, x) -> np.ndarray:
     Boundary positions receive zero from the shifted-out ends.
     """
     x = _as_signal(x, params.T)
-    return _hydra(params.fwd, params.bwd, x, params.diag_delta)
+    return _hydra(params.fwd, params.bwd, x[:, None], params.diag_delta[:, None])[:, 0]
 
 
 def hydra_mixer(params: HydraParams) -> MatrixMixer:
@@ -407,14 +412,10 @@ def hydra_channelwise(
     ``diag_gain`` holds one diagonal scalar per channel, broadcast over
     time. Parameters are shared across channels as in
     :func:`bimamba_channelwise`, so the stage is ``hydra_mixer(HydraParams
-    (fwd, bwd, 0)).m @ x.data + x.data * diag_gain``, computed one
-    channel at a time with that channel's gain as the diagonal.
+    (fwd, bwd, 0)).m @ x.data + x.data * diag_gain``, run as one call of
+    the shared scan pair on all channels.
     """
     gain = _as_float_array(diag_gain, "diag_gain", 1)
     if gain.shape[0] != x.d:
         raise ShapeError(f"diag_gain has length {gain.shape[0]}, expected {x.d}")
-    fwd_p, bwd_p = _selective_pair(x, fwd, bwd)
-    out = np.empty_like(x.data)
-    for ch in range(x.d):
-        out[:, ch] = _hydra(fwd_p, bwd_p, x.data[:, ch], gain[ch])
-    return FeatureSequence(_Fresh(out))
+    return FeatureSequence(_Fresh(_hydra(*_selective_pair(x, fwd, bwd), x.data, gain)))

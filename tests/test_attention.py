@@ -1,6 +1,7 @@
 """Tests for softmax attention, random-feature attention, and rotary embeddings."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -383,6 +384,50 @@ class TestPositiveFeatureMap:
             positive_feature_map(np.zeros((2, 5)), om)
 
 
+@pytest.mark.parametrize("case", ["feature-map", "unstabilized", "favor-mixer",
+                                  "error-curve", "softmax-mixer", "softmax-attention"])
+def test_overflow_raises_without_a_warning(case):
+    """Each overflow reaches the caller as a NumericRangeError alone:
+    no numpy RuntimeWarning is printed first."""
+    huge = np.full((600, 2), 1e200)
+    k = np.zeros_like(huge)
+    k[:, 1] = 1.0
+    om = OrthogonalFeatureMatrix(np.diag([2.0, 2.0]), seed=0)
+    run = {
+        "feature-map": lambda: positive_feature_map(huge, om),
+        "unstabilized": lambda: positive_feature_map(
+            [[100.0, 0.0]], OrthogonalFeatureMatrix(np.diag([100.0, 100.0]), seed=0),
+            stabilize=False),
+        "favor-mixer": lambda: favor_mixer(huge, k, om),
+        "error-curve": lambda: approximation_error_curve(huge, k, (4,), (0,)),
+        "softmax-mixer": lambda: softmax_mixer(huge[:3], huge[:3]),
+        "softmax-attention": lambda: softmax_attention(QkvTriple(huge, huge, np.ones((600, 2)))),
+    }[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericRangeError):
+            run()
+
+
+@pytest.mark.parametrize("build", ["softmax-mixer", "favor-mixer", "error-curve"])
+@pytest.mark.parametrize("q, k", [(np.ones(4), np.ones(4)), (np.ones((4, 2)), np.ones((5, 2)))],
+                         ids=["1-d", "lengths-differ"])
+def test_q_and_k_are_checked_alike(build, q, k):
+    """The three maps of q and k share one check, so each bad pair raises
+    the same ShapeError with the same message from all three."""
+    om = draw_orthogonal_features(2, 4, 0)
+    run = {
+        "softmax-mixer": lambda: softmax_mixer(q, k),
+        "favor-mixer": lambda: favor_mixer(q, k, om),
+        "error-curve": lambda: approximation_error_curve(q, k, (4,), (0,)),
+    }[build]
+    with pytest.raises(ShapeError) as got:
+        run()
+    with pytest.raises(ShapeError) as want:
+        softmax_mixer(q, k)
+    assert str(got.value) == str(want.value)
+
+
 class TestFavorAttention:
     def test_matches_materialized_mixer(self):
         rng = np.random.default_rng(5)
@@ -518,7 +563,6 @@ def _attention_parts(**overrides):
     with any of them replaced."""
     rng = np.random.default_rng(34)
     parts = dict(
-        kind="favor",
         weights=MhaWeights(*(rng.standard_normal((4, 4)) for _ in range(4))),
         config=MultiHeadConfig(d_model=4, num_heads=2),
         rope=RopeConfig(d_head=2),
@@ -532,35 +576,44 @@ class TestAttentionArguments:
     @pytest.mark.parametrize(
         "overrides, error",
         [
-            ({"kind": "linear"}, ValueError),
             ({"weights": MhaWeights(*(np.eye(6) for _ in range(4)))}, ShapeError),
             ({"rope": RopeConfig(d_head=4)}, ShapeError),
-            ({"omegas": None}, ValueError),
             ({"omegas": [draw_orthogonal_features(2, 4, 0)]}, ValueError),
             ({"omegas": [draw_orthogonal_features(4, 4, s) for s in range(2)]}, ShapeError),
-            ({"kind": "softmax"}, ValueError),
         ],
-        ids=["kind", "d_model", "rope", "no-omegas", "omega-count", "omega-width", "stray-omegas"],
+        ids=["d_model", "rope", "omega-count", "omega-width"],
     )
     def test_config_and_call_reject_alike(self, overrides, error):
         """AttentionMixerConfig and multi_head_attention share one check,
         so each bad part raises the same exception type from both."""
         p = _attention_parts(**overrides)
         with pytest.raises(error) as from_config:
-            AttentionMixerConfig(p["kind"], p["weights"], p["config"], p["rope"], p["omegas"])
+            AttentionMixerConfig(p["weights"], p["config"], rope=p["rope"], omegas=p["omegas"])
         x = FeatureSequence(np.ones((3, 4)))
         with pytest.raises(error) as from_call:
-            multi_head_attention(x, p["weights"], p["config"], p["kind"], p["rope"], p["omegas"])
+            multi_head_attention(x, p["weights"], p["config"], rope=p["rope"], omegas=p["omegas"])
         assert type(from_config.value) is type(from_call.value) is error
 
     def test_valid_parts_accepted(self):
         p = _attention_parts(omegas=iter(_attention_parts()["omegas"]))
-        mc = AttentionMixerConfig(p["kind"], p["weights"], p["config"], p["rope"], p["omegas"])
+        mc = AttentionMixerConfig(p["weights"], p["config"], rope=p["rope"], omegas=p["omegas"])
         assert isinstance(mc.omegas, tuple) and len(mc.omegas) == 2
         y = multi_head_attention(FeatureSequence(np.ones((3, 4))), mc.weights, mc.head_config,
-                                 mc.kind, mc.rope, mc.omegas)
+                                 rope=mc.rope, omegas=mc.omegas)
         assert y.data.shape == (3, 4)
-        assert AttentionMixerConfig("softmax", p["weights"], p["config"]).omegas is None
+        assert AttentionMixerConfig(p["weights"], p["config"]).omegas is None
+
+    @pytest.mark.parametrize("with_omegas", [False, True])
+    def test_kind_is_favor_exactly_when_omegas_are_given(self, with_omegas):
+        """The kind is read from the parts: favor with feature matrices,
+        softmax without. It is a property, so it cannot be set to disagree."""
+        p = _attention_parts(omegas=_attention_parts()["omegas"] if with_omegas else None)
+        mc = AttentionMixerConfig(p["weights"], p["config"], rope=p["rope"], omegas=p["omegas"])
+        assert mc.kind == ("favor" if with_omegas else "softmax")
+        with pytest.raises(AttributeError):
+            mc.kind = "softmax"
+        with pytest.raises(TypeError):
+            AttentionMixerConfig(p["weights"], p["config"], p["rope"], p["omegas"])
 
 
 class TestMultiHeadAttention:
@@ -573,7 +626,6 @@ class TestMultiHeadAttention:
             FeatureSequence(x),
             MhaWeights(eye, eye, eye, eye),
             MultiHeadConfig(d_model=d, num_heads=1),
-            kind="softmax",
         )
         ref = softmax_attention(QkvTriple(x, x, x))
         np.testing.assert_allclose(y.data, ref.data, atol=1e-13)
@@ -587,7 +639,6 @@ class TestMultiHeadAttention:
             FeatureSequence(x),
             MhaWeights(w, w, w, np.zeros((d, d))),
             MultiHeadConfig(d_model=d, num_heads=2),
-            kind="softmax",
         )
         assert np.array_equal(y.data, np.zeros((5, d)))
 
@@ -602,7 +653,6 @@ class TestMultiHeadAttention:
             FeatureSequence(x),
             MhaWeights(wq, wk, wv, wo),
             MultiHeadConfig(d_model=d, num_heads=heads),
-            kind="softmax",
         )
         q, k, v = x @ wq, x @ wk, x @ wv
         concat = np.zeros((5, d))
@@ -612,18 +662,21 @@ class TestMultiHeadAttention:
         np.testing.assert_allclose(y.data, concat @ wo, atol=1e-12)
 
     def test_favor_kind_requires_omegas(self):
+        """Attention is FAVOR+ exactly when it is given feature matrices
+        (test_bit_identical_to_concatenated_heads pins both paths); no
+        argument names a kind."""
         rng = np.random.default_rng(32)
         d = 4
         x = FeatureSequence(rng.standard_normal((3, d)))
         w = MhaWeights(*(rng.standard_normal((d, d)) for _ in range(4)))
         cfg = MultiHeadConfig(d_model=d, num_heads=2)
-        with pytest.raises(ValueError):
-            multi_head_attention(x, w, cfg, kind="favor")
         oms = [draw_orthogonal_features(2, 4, s) for s in range(2)]
-        y = multi_head_attention(x, w, cfg, kind="favor", omegas=oms)
-        assert y.data.shape == (3, d)
-        with pytest.raises(ValueError):
-            multi_head_attention(x, w, cfg, kind="softmax", omegas=oms)
+        softmax = multi_head_attention(x, w, cfg)
+        favor = multi_head_attention(x, w, cfg, omegas=oms)
+        assert favor.data.shape == softmax.data.shape == (3, d)
+        assert not np.allclose(favor.data, softmax.data)
+        with pytest.raises(TypeError):
+            multi_head_attention(x, w, cfg, "favor", omegas=oms)
 
     def test_rope_changes_output_but_keeps_shape(self):
         rng = np.random.default_rng(33)
@@ -631,8 +684,8 @@ class TestMultiHeadAttention:
         x = FeatureSequence(rng.standard_normal((6, d)))
         w = MhaWeights(*(rng.standard_normal((d, d)) for _ in range(4)))
         cfg = MultiHeadConfig(d_model=d, num_heads=2)
-        plain = multi_head_attention(x, w, cfg, kind="softmax")
-        roped = multi_head_attention(x, w, cfg, kind="softmax", rope=RopeConfig(d_head=2))
+        plain = multi_head_attention(x, w, cfg)
+        roped = multi_head_attention(x, w, cfg, rope=RopeConfig(d_head=2))
         assert roped.data.shape == (6, d)
         assert not np.allclose(plain.data, roped.data)
 
@@ -659,7 +712,7 @@ class TestMultiHeadAttention:
                 heads.append(favor_attention(qkv, omegas[h]).data)
         want = np.concatenate(heads, axis=1) @ w.wo
         got = multi_head_attention(
-            FeatureSequence(x), w, cfg, kind, rope=rope,
+            FeatureSequence(x), w, cfg, rope=rope,
             omegas=omegas if kind == "favor" else None,
         )
         assert np.array_equal(got.data, want)

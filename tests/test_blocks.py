@@ -1,6 +1,7 @@
 """Tests for block stages, the four-stage residual block, stacks, and the
 weight container."""
 
+import os
 import tracemalloc
 from dataclasses import replace
 
@@ -587,6 +588,23 @@ class TestTensorContainer:
         assert set(loaded) == set(tensors)
         for name, arr in tensors.items():
             assert np.array_equal(loaded[name], np.asarray(arr, dtype=np.float64))
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_pipe_refused_by_name(self, tmp_path):
+        """A container read through a pipe (say /dev/stdin under `cat f |`)
+        is refused as not seekable before any byte is read, not failed
+        with an I/O error halfway."""
+        path = tmp_path / "t.bin"
+        save_tensors(path, {"x": np.zeros(2)})
+        r, w = os.pipe()
+        try:
+            os.write(w, path.read_bytes())
+            os.close(w)
+            with pytest.raises(ValueError, match="must be a seekable file"):
+                load_tensors(f"/dev/fd/{r}")
+            assert os.read(r, 4096) == path.read_bytes()
+        finally:
+            os.close(r)
 
     def test_magic_line_present(self, tmp_path):
         path = tmp_path / "t.bin"

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -429,6 +430,36 @@ class TestDiagnoseCommand:
         assert code == 2
         assert "qk.bin" in capsys.readouterr().err
         assert not (tmp_path / "rank_report.csv").exists()
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_dump_from_a_pipe_exits_2(self, tmp_path, capsys):
+        """`cat qk.bin | mixerlab diagnose --qk_dump /dev/stdin` is refused
+        by name (exit 2), not with an illegal-seek I/O error (exit 3)."""
+        path = tmp_path / "qk.bin"
+        save_tensors(path, {"q": np.zeros((4, 2)), "k": np.zeros((4, 2))})
+        r, w = os.pipe()
+        try:
+            os.write(w, path.read_bytes())
+            os.close(w)
+            code = main(["diagnose", "--qk_dump", f"/dev/fd/{r}", "--out", str(tmp_path)])
+        finally:
+            os.close(r)
+        assert code == 2
+        assert "a container must be a seekable file" in capsys.readouterr().err
+        assert not (tmp_path / "rank_report.csv").exists()
+
+    def test_overflowing_dump_exits_2_without_a_warning(self, tmp_path, capsys):
+        """q = 1e200 overflows the feature map: the typed error is the only
+        message, with no numpy RuntimeWarning before it."""
+        rng = np.random.default_rng(4)
+        save_tensors(tmp_path / "qk.bin",
+                     {"q": np.full((8, 4), 1e200), "k": rng.standard_normal((8, 4))})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["diagnose", "--qk_dump", str(tmp_path / "qk.bin"), "--r", "4",
+                         "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: feature map overflowed; inputs are too large\n"
 
     def test_indivisible_heads_rejected(self, tmp_path, capsys):
         code = main(

@@ -399,8 +399,8 @@ def rebuilt_from_copies(obj, inputs):
         inputs.append(np.array(obj))
         return inputs[-1]
     if dataclasses.is_dataclass(obj):
-        return type(obj)(*(rebuilt_from_copies(getattr(obj, f.name), inputs)
-                           for f in dataclasses.fields(obj)))
+        return type(obj)(**{f.name: rebuilt_from_copies(getattr(obj, f.name), inputs)
+                            for f in dataclasses.fields(obj)})
     if isinstance(obj, tuple):
         return tuple(rebuilt_from_copies(item, inputs) for item in obj)
     return obj

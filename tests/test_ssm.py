@@ -2,6 +2,7 @@
 bidirectional couplings."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -291,6 +292,20 @@ class TestSelectiveParameterize:
         x = FeatureSequence(np.zeros((2, 1)))
         with pytest.raises(NumericRangeError):
             selective_parameterize(x, w)
+
+
+    @pytest.mark.parametrize("a_log, scale", [(800.0, 1.0), (0.0, 1e200)],
+                             ids=["decay-exponent", "projections"])
+    def test_overflow_raises_without_a_warning(self, a_log, scale):
+        """exp(a_log) overflowing, or x @ w_b.T and x @ w_c.T overflowing,
+        raises NumericRangeError with no numpy RuntimeWarning first."""
+        w = SelectiveWeights(np.array([1e-300]), 0.0, np.full((1, 1), scale),
+                             np.full((1, 1), scale), a_log)
+        x = FeatureSequence(np.full((2, 1), scale))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericRangeError, match="overflowed"):
+                selective_parameterize(x, w)
 
 
 class TestBiMamba:
