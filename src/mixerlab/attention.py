@@ -334,6 +334,11 @@ def _feature_map(x: np.ndarray, omega: OrthogonalFeatureMatrix, stabilize: bool,
 
 
 def _favor_normalizer(fq: np.ndarray, fk: np.ndarray) -> np.ndarray:
+    """Row sums ``fq @ fk.sum(axis=0)`` of the unnormalized map; a key or
+    query whose features all underflowed to 0 raises NumericRangeError
+    rather than silently getting or giving no weight."""
+    if not np.all(fk.sum(axis=1) > 0.0):
+        raise NumericRangeError("a key's features all underflowed to zero; it would get no weight")
     den = fq @ fk.sum(axis=0)
     if not np.all(den > 0.0):
         raise NumericRangeError(

@@ -9,9 +9,11 @@ LayerNorm on the output:
     y4 = y3 + ffw_out(y3)
     out = layer_norm(y4)
 
-The mixer stage is a tagged union over four kinds (hydra, bimamba,
-favor, softmax) so the same surrounding weights can host any of them.
-An attention stage is favor exactly when it holds feature matrices.
+The mixer stage is one of two config types, attention or scan, so the
+same surrounding weights can host any of the four kinds (hydra, bimamba,
+favor, softmax). Each config derives its kind from what it holds: an
+attention stage is favor exactly when it holds feature matrices, and a
+scan stage is hydra exactly when it holds a diagonal gain.
 Every mixer kind ends in a d x d output projection; zeroing all the
 stage output projections turns the block into layer_norm exactly, which
 is the contract the tests pin down.
@@ -64,8 +66,7 @@ __all__ = [
     "FfwWeights",
     "DilatedConvWeights",
     "AttentionMixerConfig",
-    "BiMambaMixerConfig",
-    "HydraMixerConfig",
+    "ScanMixerConfig",
     "MixerConfig",
     "DcHydraBlock",
     "BlockStackConfig",
@@ -74,7 +75,6 @@ __all__ = [
     "dilated_dw_conv",
     "dilation_for_block",
     "layer_norm_apply",
-    "mixer_kind_of",
     "mixer_apply",
     "block_forward",
     "validate_stack",
@@ -267,59 +267,45 @@ class AttentionMixerConfig:
         return self.head_config.d_model
 
 
-def _check_selective_pair(fwd: SelectiveWeights, bwd: SelectiveWeights, out: np.ndarray) -> None:
-    if out.shape[0] != out.shape[1]:
-        raise ShapeError(f"out_proj must be square, got {out.shape}")
-    d = out.shape[0]
-    if fwd.d != d or bwd.d != d:
-        raise ShapeError(
-            f"selective weights expect width {fwd.d}/{bwd.d}, out_proj is {d}x{d}"
-        )
-    if fwd.N != bwd.N:
-        raise ShapeError(f"forward/backward state sizes differ: {fwd.N} vs {bwd.N}")
-
-
 @dataclass(frozen=True)
-class BiMambaMixerConfig(_Frozen):
-    """Addition-combined bidirectional scan stage with output projection."""
+class ScanMixerConfig(_Frozen):
+    """Bidirectional scan stage with output projection.
+
+    ``diag_gain`` (one gain per channel) makes it kind "hydra", the
+    shift-combined scan pair plus a diagonal term, and None kind
+    "bimamba", the addition-combined pair.
+    """
 
     fwd: SelectiveWeights
     bwd: SelectiveWeights
     out_proj: np.ndarray
+    diag_gain: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
         (out,) = _freeze(self, out_proj=2)
-        _check_selective_pair(self.fwd, self.bwd, out)
-
-    @property
-    def d(self) -> int:
-        return self.out_proj.shape[0]
-
-
-@dataclass(frozen=True)
-class HydraMixerConfig(_Frozen):
-    """Shift-combined bidirectional scan stage with a per-channel diagonal
-    gain and output projection."""
-
-    fwd: SelectiveWeights
-    bwd: SelectiveWeights
-    diag_gain: np.ndarray
-    out_proj: np.ndarray
-
-    def __post_init__(self) -> None:
-        out, gain = _freeze(self, out_proj=2, diag_gain=1)
-        _check_selective_pair(self.fwd, self.bwd, out)
-        if gain.shape[0] != out.shape[0]:
+        gain = None if self.diag_gain is None else _freeze(self, diag_gain=1)[0]
+        if out.shape[0] != out.shape[1]:
+            raise ShapeError(f"out_proj must be square, got {out.shape}")
+        d = out.shape[0]
+        if self.fwd.d != d or self.bwd.d != d:
             raise ShapeError(
-                f"diag_gain has length {gain.shape[0]}, expected {out.shape[0]}"
+                f"selective weights expect width {self.fwd.d}/{self.bwd.d}, out_proj is {d}x{d}"
             )
+        if self.fwd.N != self.bwd.N:
+            raise ShapeError(f"forward/backward state sizes differ: {self.fwd.N} vs {self.bwd.N}")
+        if gain is not None and gain.shape[0] != d:
+            raise ShapeError(f"diag_gain has length {gain.shape[0]}, expected {d}")
+
+    @property
+    def kind(self) -> str:
+        return "bimamba" if self.diag_gain is None else "hydra"
 
     @property
     def d(self) -> int:
         return self.out_proj.shape[0]
 
 
-MixerConfig = Union[AttentionMixerConfig, BiMambaMixerConfig, HydraMixerConfig]
+MixerConfig = Union[AttentionMixerConfig, ScanMixerConfig]
 
 
 # Tensor names of each block part in container order; all but the norm's
@@ -328,21 +314,9 @@ MixerConfig = Union[AttentionMixerConfig, BiMambaMixerConfig, HydraMixerConfig]
 _FFW = ("w1", "b1", "w2", "b2")
 _MHA = ("wq", "wk", "wv", "wo")
 _SELECTIVE = ("w_delta", "bias", "w_b", "w_c", "a_log")
-_SCAN_MIXERS = {
-    "hydra": (HydraMixerConfig, ("diag_gain", "out_proj")),
-    "bimamba": (BiMambaMixerConfig, ("out_proj",)),
-}
+_SCAN_TAIL = {"hydra": ("diag_gain", "out_proj"), "bimamba": ("out_proj",)}
 _CONV = ("kernel", "bias")
 _NORM = ("scale", "shift")
-
-
-def mixer_kind_of(config: MixerConfig) -> str:
-    if isinstance(config, AttentionMixerConfig):
-        return config.kind
-    for kind, (config_type, _) in _SCAN_MIXERS.items():
-        if isinstance(config, config_type):
-            return kind
-    raise TypeError(f"not a mixer config: {type(config).__name__}")
 
 
 def mixer_apply(x: FeatureSequence, config: MixerConfig) -> FeatureSequence:
@@ -351,18 +325,19 @@ def mixer_apply(x: FeatureSequence, config: MixerConfig) -> FeatureSequence:
         return multi_head_attention(
             x, config.weights, config.head_config, rope=config.rope, omegas=config.omegas
         )
-    if isinstance(config, HydraMixerConfig):
-        mixed = hydra_channelwise(x, config.fwd, config.bwd, config.diag_gain)
-        return FeatureSequence(_Fresh(mixed.data @ config.out_proj))
-    if isinstance(config, BiMambaMixerConfig):
-        mixed = bimamba_channelwise(x, config.fwd, config.bwd)
+    if isinstance(config, ScanMixerConfig):
+        if config.diag_gain is None:
+            mixed = bimamba_channelwise(x, config.fwd, config.bwd)
+        else:
+            mixed = hydra_channelwise(x, config.fwd, config.bwd, config.diag_gain)
         return FeatureSequence(_Fresh(mixed.data @ config.out_proj))
     raise TypeError(f"not a mixer config: {type(config).__name__}")
 
 
 @dataclass(frozen=True)
 class DcHydraBlock(_Frozen):
-    """One backbone block; all component widths must agree."""
+    """One backbone block; all component widths must agree, and the mixer
+    must be an attention or scan config (else TypeError)."""
 
     ffw_in: FfwWeights
     mixer_config: MixerConfig
@@ -372,6 +347,8 @@ class DcHydraBlock(_Frozen):
     norm_shift: np.ndarray
 
     def __post_init__(self) -> None:
+        if not isinstance(self.mixer_config, (AttentionMixerConfig, ScanMixerConfig)):
+            raise TypeError(f"not a mixer config: {type(self.mixer_config).__name__}")
         scale, shift = _freeze(self, norm_scale=1, norm_shift=1)
         widths = {
             "ffw_in": self.ffw_in.d,
@@ -464,7 +441,7 @@ def validate_stack(cfg: BlockStackConfig, blocks: Sequence[DcHydraBlock]) -> Non
             raise ShapeError(f"block {i} width {block.d} != d_model {cfg.d_model}")
         mc = block.mixer_config
         # the kind is checked first: it decides which sizes the block has
-        checks = [("mixer_kind", mixer_kind_of(mc)), ("kernel_size", block.conv.k)]
+        checks = [("mixer_kind", mc.kind), ("kernel_size", block.conv.k)]
         if isinstance(mc, AttentionMixerConfig):
             checks.append(("num_heads", mc.head_config.num_heads))
             checks += [("feature_count", om.r) for om in mc.omegas or ()]
@@ -506,7 +483,7 @@ def with_zeroed_projections(block: DcHydraBlock) -> DcHydraBlock:
     if isinstance(mc, AttentionMixerConfig):
         weights = MhaWeights(mc.weights.wq, mc.weights.wk, mc.weights.wv, np.zeros_like(mc.weights.wo))
         mc = replace(mc, weights=weights)
-    elif isinstance(mc, (HydraMixerConfig, BiMambaMixerConfig)):
+    else:
         mc = replace(mc, out_proj=np.zeros_like(mc.out_proj))
     conv = DilatedConvWeights(
         np.zeros_like(block.conv.kernel), block.conv.dilation, np.zeros_like(block.conv.bias)
@@ -572,7 +549,7 @@ def _draw_block(cfg: BlockStackConfig, seed: int, i: int, omegas) -> dict:
         parts += [(f"mixer.{side}", _SELECTIVE, selective()) for side in ("fwd", "bwd")]
         out_proj = normal((d, d)) / np.sqrt(d)
         tail = (np.ones(d), out_proj) if kind == "hydra" else (out_proj,)
-        parts.append(("mixer", _SCAN_MIXERS[kind][1], tail))
+        parts.append(("mixer", _SCAN_TAIL[kind], tail))
     parts.append(("conv", _CONV, (normal((d, k)) / np.sqrt(k), np.zeros(d))))
     parts.append(("ffw_out", _FFW, ffw()))
     parts.append(("norm", _NORM, (np.ones(d), np.zeros(d))))
@@ -613,8 +590,8 @@ def _build_block(
         sides = (take(f"mixer.{side}", _SELECTIVE) for side in ("fwd", "bwd"))
         fwd, bwd = (SelectiveWeights(own(w), b.item(), own(wb), own(wc), a.item())
                     for w, b, wb, wc, a in sides)
-        config_type, names = _SCAN_MIXERS[kind]
-        mixer = config_type(fwd, bwd, *map(own, take("mixer", names)))
+        names = _SCAN_TAIL[kind]
+        mixer = ScanMixerConfig(fwd, bwd, **dict(zip(names, map(own, take("mixer", names)))))
     kernel, bias = map(own, take("conv", _CONV))
     conv = DilatedConvWeights(kernel, dilation_for_block(i, cfg.dilation_period), bias)
     ffw_in, ffw_out = (FfwWeights(*map(own, take(part, _FFW))) for part in ("ffw_in", "ffw_out"))
@@ -671,7 +648,7 @@ def stack_to_tensors(blocks: Sequence[DcHydraBlock]) -> dict:
             mixer.append(("mixer", _omega_names(len(omegas)), omegas))
         else:
             mixer = [part(f"mixer.{s}", getattr(mc, s), _SELECTIVE) for s in ("fwd", "bwd")]
-            mixer.append(part("mixer", mc, _SCAN_MIXERS[mixer_kind_of(mc)][1]))
+            mixer.append(part("mixer", mc, _SCAN_TAIL[mc.kind]))
         out.update(_named(i, [
             part("ffw_in", block.ffw_in, _FFW),
             part("ffw_out", block.ffw_out, _FFW),

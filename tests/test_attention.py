@@ -367,6 +367,24 @@ class TestPositiveFeatureMap:
         with pytest.raises(NumericRangeError, match="feature map overflowed"):
             approximation_error_curve(x, k, (4, 16), (0, 1))
 
+    @pytest.mark.parametrize("build", ["favor-mixer", "favor-attention", "error-curve"])
+    def test_key_whose_features_all_underflow_raises(self, build):
+        """A key of huge norm has every feature exp(...) = 0 after the
+        shift, so favor would give it no weight where softmax gives it all
+        of it; each favor path raises instead of dropping the key."""
+        q = np.abs(np.random.default_rng(0).standard_normal((4, 2)))
+        k = np.random.default_rng(1).standard_normal((4, 2))
+        k[0] = [1e100, 0.0]
+        assert np.array_equal(softmax_mixer(q, k).m[:, 0], np.ones(4))
+        om = draw_orthogonal_features(2, 8, 1)
+        run = {
+            "favor-mixer": lambda: favor_mixer(q, k, om),
+            "favor-attention": lambda: favor_attention(QkvTriple(q, k, np.ones((4, 2))), om),
+            "error-curve": lambda: approximation_error_curve(q, k, (8,), (1,)),
+        }[build]
+        with pytest.raises(NumericRangeError, match="key's features all underflowed"):
+            run()
+
     @pytest.mark.parametrize("stabilize", [True, False])
     def test_matches_expression_form_bit_for_bit(self, stabilize):
         rng = np.random.default_rng(12)

@@ -2,6 +2,7 @@
 weight container."""
 
 import os
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -18,6 +19,9 @@ from mixerlab import (
     FfwWeights,
     NumericRangeError,
     RopeConfig,
+    ScanMixerConfig,
+    SelectiveWeights,
+    ShapeError,
     block_forward,
     derive_seed,
     dilated_dw_conv,
@@ -440,6 +444,45 @@ class TestStageScratch:
         finally:
             tracemalloc.stop()
         assert peak <= limit_mb * 1e6
+
+
+def _selective(d, N):
+    rng = np.random.default_rng(d + N)
+    return SelectiveWeights(rng.standard_normal(d), 0.0, rng.standard_normal((N, d)),
+                            rng.standard_normal((N, d)), 0.0)
+
+
+class TestScanMixerConfig:
+    def test_kind_follows_diag_gain(self):
+        sel = _selective(3, 2)
+        hydra = ScanMixerConfig(sel, sel, np.eye(3), np.ones(3))
+        bimamba = ScanMixerConfig(sel, sel, np.eye(3))
+        assert (hydra.kind, bimamba.kind) == ("hydra", "bimamba")
+        assert replace(hydra, diag_gain=None).kind == "bimamba"
+        assert replace(bimamba, diag_gain=np.zeros(3)).kind == "hydra"
+        with pytest.raises(AttributeError):
+            hydra.kind = "bimamba"
+
+    @pytest.mark.parametrize("fwd, bwd, out_shape, gain, message", [
+        ((3, 2), (3, 2), (3, 4), None, "out_proj must be square, got (3, 4)"),
+        ((4, 2), (3, 2), (3, 3), None, "selective weights expect width 4/3, out_proj is 3x3"),
+        ((3, 2), (3, 5), (3, 3), None, "forward/backward state sizes differ: 2 vs 5"),
+        ((3, 2), (3, 2), (3, 3), 4, "diag_gain has length 4, expected 3"),
+    ], ids=["out-proj", "width", "state-size", "gain-length"])
+    def test_shape_errors(self, fwd, bwd, out_shape, gain, message):
+        """Each check raises its own ShapeError; the pair checks hold for
+        both kinds."""
+        gains = [np.ones(gain)] if gain else [None, np.ones(out_shape[0])]
+        for diag_gain in gains:
+            with pytest.raises(ShapeError, match=re.escape(message)):
+                ScanMixerConfig(_selective(*fwd), _selective(*bwd), np.ones(out_shape), diag_gain)
+
+    @pytest.mark.parametrize("mixer", ["hydra", None, np.eye(8)], ids=["str", "none", "array"])
+    def test_block_refuses_a_mixer_that_is_no_config(self, mixer):
+        cfg = BlockStackConfig(d_model=8, num_blocks=1, kernel_size=3, state_size=4)
+        (block,) = init_stack(cfg, 3)
+        with pytest.raises(TypeError, match=f"not a mixer config: {type(mixer).__name__}"):
+            replace(block, mixer_config=mixer)
 
 
 class TestStack:

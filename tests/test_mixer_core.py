@@ -374,8 +374,8 @@ def frozen_containers():
         "Histogram": pairwise_l2_histogram(MatrixMixer(np.eye(4), MixerClass.dense()), bins=3),
         "FfwWeights": blocks["hydra"].ffw_in,
         "DilatedConvWeights": blocks["hydra"].conv,
-        "HydraMixerConfig": blocks["hydra"].mixer_config,
-        "BiMambaMixerConfig": blocks["bimamba"].mixer_config,
+        "ScanMixerConfig-hydra": blocks["hydra"].mixer_config,
+        "ScanMixerConfig-bimamba": blocks["bimamba"].mixer_config,
         "DcHydraBlock": blocks["favor"],
     }
 
