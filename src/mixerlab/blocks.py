@@ -469,33 +469,24 @@ def stack_forward(
     return y
 
 
-def _zeroed_ffw(w: FfwWeights) -> FfwWeights:
-    return FfwWeights(w.w1, w.b1, np.zeros_like(w.w2), np.zeros_like(w.b2))
-
-
 def with_zeroed_projections(block: DcHydraBlock) -> DcHydraBlock:
     """Zero every stage's final projection (and the conv entirely).
 
     The resulting block computes layer_norm(x) exactly; used to pin the
     residual wiring down in tests and the demo.
     """
+
+    def zeroed(obj, *names):
+        return replace(obj, **{n: _Fresh(np.zeros_like(getattr(obj, n))) for n in names})
+
     mc = block.mixer_config
     if isinstance(mc, AttentionMixerConfig):
-        weights = MhaWeights(mc.weights.wq, mc.weights.wk, mc.weights.wv, np.zeros_like(mc.weights.wo))
-        mc = replace(mc, weights=weights)
+        mc = replace(mc, weights=zeroed(mc.weights, "wo"))
     else:
-        mc = replace(mc, out_proj=np.zeros_like(mc.out_proj))
-    conv = DilatedConvWeights(
-        np.zeros_like(block.conv.kernel), block.conv.dilation, np.zeros_like(block.conv.bias)
-    )
-    return DcHydraBlock(
-        ffw_in=_zeroed_ffw(block.ffw_in),
-        mixer_config=mc,
-        conv=conv,
-        ffw_out=_zeroed_ffw(block.ffw_out),
-        norm_scale=block.norm_scale,
-        norm_shift=block.norm_shift,
-    )
+        mc = zeroed(mc, "out_proj")
+    return replace(block, ffw_in=zeroed(block.ffw_in, "w2", "b2"), mixer_config=mc,
+                   conv=zeroed(block.conv, "kernel", "bias"),
+                   ffw_out=zeroed(block.ffw_out, "w2", "b2"))
 
 
 def _omega_names(num_heads: int) -> Tuple[str, ...]:

@@ -17,9 +17,10 @@ has rank at most N. ``ssm_scan`` runs the O(T N) recurrence and
 The d channels of a sequence share one set of scan parameters, so mixing
 them is ``Y = m @ X`` with the same m for every column of X.
 ``bimamba_channelwise`` and ``hydra_channelwise`` derive the parameters
-once and run all channels through one forward/backward scan pair, the
-package's only loop over channels; ``bimamba_apply`` and ``hydra_apply``
-are its one-column calls.
+once and run all channels through one pass, the package's only loop over
+channels, which adds each column's forward and backward scans straight
+into one (T, d) output; ``bimamba_apply`` and ``hydra_apply`` are its
+one-column calls.
 
 Selectivity means a, b, c are functions of the input sequence: a step
 size delta_t = softplus(w_delta . x_t + bias) sets a_t =
@@ -27,15 +28,18 @@ exp(-delta_t * exp(a_log)) and scales b_t = delta_t * (w_b @ x_t), with
 c_t = w_c @ x_t. The decay is input-dependent, which is what lets the
 scan gate information flow per position.
 
-Two bidirectional combinations of a forward and a backward scan:
+Two bidirectional combinations of a forward and a backward scan, both
+run by that one pass:
 
-* ``bimamba_*``: forward plus reversed backward. The diagonal couples
-  both directions (each contributes its c_i . b_i term).
 * ``hydra_*``: the forward matrix shifted one row down (strictly lower
   part), the reversed backward matrix shifted one row up (strictly
   upper part), and a free diagonal delta_i. The diagonal is decoupled:
-  perturbing any scan parameter leaves it bit-identical. Both variants
-  are order-N quasiseparable.
+  perturbing any scan parameter leaves it bit-identical.
+* ``bimamba_*``: the unshifted, diagonal-free case, forward plus
+  reversed backward. The diagonal couples both directions (each
+  contributes its c_i . b_i term).
+
+Both variants are order-N quasiseparable.
 
 Convention: backward-scan parameters live in the reversed time frame.
 ``bimamba_apply`` and ``hydra_apply`` literally run the backward scan on
@@ -111,7 +115,7 @@ class ScanParams(_Frozen):
         if np.any(a <= 0.0) or np.any(a > 1.0):
             raise NumericRangeError("decays a must lie in (0, 1]")
         if self.delta is None:
-            object.__setattr__(self, "delta", np.ones(T))
+            object.__setattr__(self, "delta", _Fresh(np.ones(T)))
         (delta,) = _freeze(self, delta=1)
         if delta.shape[0] != T:
             raise ShapeError(f"delta has length {delta.shape[0]}, expected {T}")
@@ -244,22 +248,18 @@ def ssm_scan(params: ScanParams, x) -> np.ndarray:
     return y
 
 
-def _both_ways(fwd: ScanParams, bwd: ScanParams, X: np.ndarray):
-    """Forward scans of X's (T, d) columns, and backward scans of the
-    reversed columns flipped back: the package's one loop over channels."""
-    yf, yb = np.empty_like(X), np.empty_like(X)
+def _scan_pair(fwd: ScanParams, bwd: ScanParams, X: np.ndarray, diag=None) -> np.ndarray:
+    """Both scans of each column of X (T, d), added into one (T, d) output:
+    the package's one loop over channels. With ``diag`` None (bimamba) the
+    forward scan and the flipped backward scan of the reversed column land
+    aligned on zeros; otherwise (hydra) they land one step later and one
+    step earlier on ``diag * X``, with ``diag`` (T, 1) or (d,)."""
+    s = 0 if diag is None else 1
+    y = np.zeros_like(X) if diag is None else diag * X
+    T = X.shape[0]
     for ch in range(X.shape[1]):
-        yf[:, ch] = ssm_scan(fwd, X[:, ch])
-        yb[::-1, ch] = ssm_scan(bwd, X[::-1, ch])
-    return yf, yb
-
-
-def _hydra(fwd: ScanParams, bwd: ScanParams, X: np.ndarray, diag) -> np.ndarray:
-    """Shifted scans of X (T, d) plus ``diag * X``; ``diag`` is (T, 1) or (d,)."""
-    yf, yb = _both_ways(fwd, bwd, X)
-    y = diag * X
-    y[1:] += yf[:-1]
-    y[:-1] += yb[1:]
+        y[s:, ch] += ssm_scan(fwd, X[:, ch])[: T - s]
+        y[::-1, ch][s:] += ssm_scan(bwd, X[::-1, ch])[: T - s]
     return y
 
 
@@ -328,7 +328,7 @@ def selective_parameterize(x: FeatureSequence, weights: SelectiveWeights) -> Sca
         c = x.data @ weights.w_c.T
     if not (np.all(np.isfinite(b)) and np.all(np.isfinite(c))):
         raise NumericRangeError("scan parameters overflowed")
-    return ScanParams(a=a, b=b, c=c, delta=delta)
+    return ScanParams(a=_Fresh(a), b=_Fresh(b), c=_Fresh(c), delta=_Fresh(delta))
 
 
 def _selective_pair(x: FeatureSequence, fwd: SelectiveWeights, bwd: SelectiveWeights):
@@ -342,9 +342,7 @@ def _selective_pair(x: FeatureSequence, fwd: SelectiveWeights, bwd: SelectiveWei
 def bimamba_apply(params: BiMambaParams, x) -> np.ndarray:
     """Forward scan plus reversed backward scan of the reversed signal."""
     x = _as_signal(x, params.T)
-    y, bwd_y = _both_ways(params.fwd, params.bwd, x[:, None])
-    y += bwd_y
-    return y[:, 0]
+    return _scan_pair(params.fwd, params.bwd, x[:, None])[:, 0]
 
 
 def bimamba_mixer(params: BiMambaParams) -> MatrixMixer:
@@ -368,9 +366,7 @@ def bimamba_channelwise(
     Every channel shares them, so the stage is ``bimamba_mixer(...).m @
     x.data``, run as one call of the shared scan pair on all channels.
     """
-    y, bwd_y = _both_ways(*_selective_pair(x, fwd, bwd), x.data)
-    y += bwd_y
-    return FeatureSequence(_Fresh(y))
+    return FeatureSequence(_Fresh(_scan_pair(*_selective_pair(x, fwd, bwd), x.data)))
 
 
 def hydra_apply(params: HydraParams, x) -> np.ndarray:
@@ -381,7 +377,7 @@ def hydra_apply(params: HydraParams, x) -> np.ndarray:
     Boundary positions receive zero from the shifted-out ends.
     """
     x = _as_signal(x, params.T)
-    return _hydra(params.fwd, params.bwd, x[:, None], params.diag_delta[:, None])[:, 0]
+    return _scan_pair(params.fwd, params.bwd, x[:, None], params.diag_delta[:, None])[:, 0]
 
 
 def hydra_mixer(params: HydraParams) -> MatrixMixer:
@@ -418,4 +414,4 @@ def hydra_channelwise(
     gain = _as_float_array(diag_gain, "diag_gain", 1)
     if gain.shape[0] != x.d:
         raise ShapeError(f"diag_gain has length {gain.shape[0]}, expected {x.d}")
-    return FeatureSequence(_Fresh(_hydra(*_selective_pair(x, fwd, bwd), x.data, gain)))
+    return FeatureSequence(_Fresh(_scan_pair(*_selective_pair(x, fwd, bwd), x.data, gain)))

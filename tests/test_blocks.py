@@ -695,6 +695,21 @@ class TestTensorContainer:
             save_tensors(path, {"ok": np.zeros(2), "w": value})
         assert not path.exists()
 
+    @pytest.mark.parametrize("manifest, match", [
+        ("q 4x2 0\nk 4x2 64\n", "missing manifest terminator"),
+        ("q 4x2 0\nq 4x2 64\n\n", "duplicate tensor name 'q'"),
+    ], ids=["no-terminator", "duplicate-name"])
+    def test_bad_manifest_rejected(self, tmp_path, manifest, match):
+        path = tmp_path / "t.bin"
+        path.write_bytes(f"{TENSOR_MAGIC}\n{manifest}".encode() + bytes(128))
+        with pytest.raises(ValueError, match=match):
+            load_tensors(path)
+
+    def test_zero_dimensional_tensor_refused(self, tmp_path):
+        with pytest.raises(ValueError, match="must be at least 1-dimensional"):
+            save_tensors(tmp_path / "t.bin", {"s": np.float64(0.25)})
+        assert not (tmp_path / "t.bin").exists()
+
     def test_non_finite_values_round_trip(self, tmp_path):
         path = tmp_path / "t.bin"
         values = np.array([np.inf, -np.inf, np.nan, 1.5])

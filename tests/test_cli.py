@@ -419,13 +419,16 @@ class TestDiagnoseCommand:
         code = main(["diagnose", "--qk_dump", str(path), "--out", str(tmp_path)])
         assert code == 2
 
-    @pytest.mark.parametrize("manifest", ["q 1099511627776 0", "q 4x2 0\nk 0x2 64"],
-                             ids=["2**40-elements", "empty-k"])
+    @pytest.mark.parametrize("manifest", [
+        "q 1099511627776 0\n\n", "q 4x2 0\nk 0x2 64\n\n", "q 4x2 0\nk 4x2 64\n",
+        "q 4x2 0\nq 4x2 64\n\n",
+    ], ids=["2**40-elements", "empty-k", "no-terminator", "duplicate-name"])
     def test_dump_the_writer_would_refuse_exits_2(self, tmp_path, capsys, manifest):
-        """A dump claiming more data than the file holds, or an empty
-        tensor, is a ValueError (exit 2), never a MemoryError."""
+        """A dump claiming more data than the file holds, an empty tensor,
+        a manifest with no blank terminator line or a duplicate name is a
+        ValueError (exit 2), never a MemoryError."""
         path = tmp_path / "qk.bin"
-        path.write_bytes(f"{TENSOR_MAGIC}\n{manifest}\n\n".encode() + bytes(64))
+        path.write_bytes(f"{TENSOR_MAGIC}\n{manifest}".encode() + bytes(64))
         code = main(["diagnose", "--qk_dump", str(path), "--out", str(tmp_path)])
         assert code == 2
         assert "qk.bin" in capsys.readouterr().err

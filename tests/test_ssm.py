@@ -2,6 +2,7 @@
 bidirectional couplings."""
 
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -16,6 +17,7 @@ from mixerlab import (
     NumericRangeError,
     ScanParams,
     SelectiveWeights,
+    ShapeError,
     apply_mixer,
     bimamba_apply,
     bimamba_channelwise,
@@ -88,6 +90,49 @@ class TestScanParams:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             ScanParams(a=np.ones(3), b=np.ones((2, 1)), c=np.ones((3, 1)))
+
+
+def _scan(T, N):
+    return ScanParams(a=np.full(T, 0.5), b=np.ones((T, N)), c=np.ones((T, N)))
+
+
+def _weights(d, N, width=None):
+    """Width-d, state-size-N weights whose w_b and w_c are ``width`` wide if given."""
+    w = np.ones((N, d if width is None else width))
+    return SelectiveWeights(np.ones(d), 0.0, w, w, 0.0)
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: ScanParams(a=np.ones(3), b=np.ones((3, 2)), c=np.ones((3, 1))), ShapeError,
+     "b and c must share one shape"),
+    (lambda: ScanParams(a=np.ones(3), b=np.ones((3, 1)), c=np.ones((3, 1)), delta=np.ones(2)),
+     ShapeError, "delta has length 2, expected 3"),
+    (lambda: SelectiveWeights(np.ones(2), 0.0, np.ones((1, 2)), np.ones((2, 2)), 0.0),
+     ShapeError, "w_b and w_c must share one shape"),
+    (lambda: _weights(2, 1, width=3), ShapeError, "w_b expects width 3 but w_delta has 2"),
+    (lambda: BiMambaParams(_scan(3, 1), _scan(4, 1)), ShapeError, "must agree on \\(T, N\\)"),
+    (lambda: HydraParams(_scan(3, 1), _scan(3, 2), np.ones(3)), ShapeError,
+     "must agree on \\(T, N\\)"),
+    (lambda: bimamba_channelwise(FeatureSequence(np.ones((3, 2))), _weights(2, 1), _weights(2, 2)),
+     ShapeError, "must agree on \\(T, N\\)"),
+    (lambda: HydraParams(_scan(3, 1), _scan(3, 1), np.ones(2)), ShapeError,
+     "diag_delta has length 2, expected 3"),
+    (lambda: ssm_scan(_scan(3, 1), np.ones(2)), ShapeError, "x has length 2, params expect 3"),
+    (lambda: bimamba_apply(BiMambaParams(_scan(3, 1), _scan(3, 1)), np.ones(4)), ShapeError,
+     "x has length 4, params expect 3"),
+    (lambda: hydra_apply(HydraParams(_scan(3, 1), _scan(3, 1), np.ones(3)), np.ones(2)),
+     ShapeError, "x has length 2, params expect 3"),
+    (lambda: segment_product(np.ones(3), 1.0, 0), TypeError, "i must be an int, got float"),
+    (lambda: selective_parameterize(FeatureSequence(np.ones((3, 2))), _weights(3, 1)),
+     ShapeError, "sequence width 2 != weight width 3"),
+    (lambda: hydra_channelwise(FeatureSequence(np.ones((3, 2))), _weights(2, 1), _weights(2, 1),
+                               np.ones(3)), ShapeError, "diag_gain has length 3, expected 2"),
+], ids=["scan-b-c", "scan-delta", "weights-b-c", "weights-width", "bimamba-pair", "hydra-pair",
+        "bimamba-channelwise-N", "hydra-diag", "ssm_scan-x", "bimamba_apply-x", "hydra_apply-x",
+        "segment-index", "parameterize-width", "hydra-channelwise-gain"])
+def test_refusals(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
 
 
 class TestSsmScan:
@@ -600,3 +645,20 @@ class TestChannelwiseOracles:
         np.testing.assert_allclose(
             hydra_channelwise(x, *w, gain).data, expected, rtol=0, atol=1e-12
         )
+
+    @pytest.mark.parametrize("kind", ["hydra", "bimamba"])
+    def test_traced_peak_under_two_activations(self, kind):
+        """The scan stage adds both scans of every channel straight into its
+        one (T, d) output and adopts its scan parameters, so at T=128 it
+        allocates less than two (T, d) arrays beyond its input."""
+        x, cfg, *_ = self.setup_inputs(128, kind)
+        args = (cfg.diag_gain,) if kind == "hydra" else ()
+        run = hydra_channelwise if kind == "hydra" else bimamba_channelwise
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            run(x, cfg.fwd, cfg.bwd, *args)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * x.data.nbytes
