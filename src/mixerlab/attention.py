@@ -58,10 +58,12 @@ __all__ = [
     "multi_head_attention",
 ]
 
-# rows per block when streaming the T x T logits; bounds scratch memory.
-# BLAS rounding depends on the row partition, so another size can move
-# the last bits of results.
-_SOFTMAX_CHUNK = 512
+# rows per tile when streaming the T x T logits: a (64, T) tile is 1 MB
+# at T=2048, small enough to stay in a 2 MB L2 between its two GEMMs. A
+# row rounds as under any other partition unless a tile's GEMM takes
+# another BLAS kernel path for it (a short tail can, and at some T and
+# d_head a tile's edge rows), so another size can move last bits.
+_SOFTMAX_CHUNK = 64
 
 _ORTHO_TOL = 1e-10
 
@@ -215,10 +217,11 @@ def softmax_attention(qkv: QkvTriple) -> FeatureSequence:
     """Full softmax attention: ``row_softmax(q @ k.T) @ v``.
 
     Logits are unscaled inner products (see module docstring). The T x T
-    matrix is streamed in row blocks through one reused buffer, so peak
-    scratch memory is O(chunk * T). The result agrees with the one-shot
-    form to within rounding (BLAS rounding depends on the row partition)
-    and is deterministic for equal inputs.
+    matrix is streamed in tiles of ``_SOFTMAX_CHUNK`` (64) rows through
+    one reused buffer, so besides the output and a transposed copy of k
+    the scratch memory is O(64 * T). The result agrees with the
+    one-shot form to within rounding (BLAS rounding can depend on the row
+    partition) and is deterministic for equal inputs.
     """
     q, k, v = qkv.q, qkv.k, qkv.v
     T = qkv.T
@@ -464,9 +467,10 @@ def multi_head_attention(
 
     Projects x to Q, K, V, splits heads as contiguous d_head slices,
     optionally applies rotary embeddings to each head's Q and K, runs
-    attention per head, writes each head into its slice of one array, and
-    applies the output projection. Attention is FAVOR+ exactly when
-    ``omegas`` gives feature matrices, one per head, else softmax.
+    attention per head, writes each head's output over the Q columns it
+    came from, drops K and V, and applies the output projection to the
+    overwritten Q. Attention is FAVOR+ exactly when ``omegas`` gives
+    feature matrices, one per head, else softmax.
     """
     omegas = _check_attention_args(weights, config, rope, omegas)
     if x.d != config.d_model:
@@ -476,15 +480,16 @@ def multi_head_attention(
     big_k = x.data @ weights.wk
     big_v = x.data @ weights.wv
     dh = config.d_head
-    heads = np.empty_like(big_v)
     for h in range(config.num_heads):
         sl = slice(h * dh, (h + 1) * dh)
         q, k, v = big_q[:, sl], big_k[:, sl], big_v[:, sl]
         if rope is not None:
             q, k = _Fresh(apply_rope(q, rope)), _Fresh(apply_rope(k, rope))
+        # qkv holds its own copies, so the head's output can go over its Q
         qkv = QkvTriple(q, k, v)
         if omegas is None:
-            heads[:, sl] = softmax_attention(qkv).data
+            big_q[:, sl] = softmax_attention(qkv).data
         else:
-            heads[:, sl] = favor_attention(qkv, omegas[h]).data
-    return FeatureSequence(_Fresh(heads @ weights.wo))
+            big_q[:, sl] = favor_attention(qkv, omegas[h]).data
+    del big_k, big_v, q, k, v, qkv  # free K and V before the output GEMM
+    return FeatureSequence(_Fresh(big_q @ weights.wo))

@@ -91,7 +91,8 @@ LAYER_NORM_EPS = 1e-5
 TENSOR_MAGIC = "MIXERLAB-TENSORS 1"
 MIXER_KINDS = ("hydra", "bimamba", "favor", "softmax")
 
-# rows per block of ffw_apply's in-place SiLU scratch; moves no result bit
+# rows per row block of ffw_apply; the last block takes the remainder, so
+# every block has 256-511 rows (or all T) and moves no result bit
 _SILU_ROWS = 256
 
 
@@ -142,18 +143,29 @@ class FfwWeights(_Frozen):
 
 
 def ffw_apply(x: FeatureSequence, w: FfwWeights) -> FeatureSequence:
-    """Per-frame map ``silu(x @ w1 + b1) @ w2 + b2``."""
+    """Per-frame map ``silu(x @ w1 + b1) @ w2 + b2``.
+
+    Runs both products, the hidden bias and SiLU on one block of rows at
+    a time, through two reused (rows, hidden) scratch arrays, so besides
+    its output it holds at most 2 * 511 hidden rows rather than all T.
+    Every block but the last has ``_SILU_ROWS`` rows and the last takes
+    the remainder, so no block is short enough to take another BLAS
+    kernel path, and the bits are the unblocked expression's (the tests
+    check each partition edge).
+    """
     if x.d != w.d:
         raise ShapeError(f"sequence width {x.d} != ffw width {w.d}")
-    h = x.data @ w.w1
-    h += w.b1
-    # silu(h) in place, block by block through one scratch array; the
-    # same ops as silu, and h *= t rounds as t *= h
-    t = np.empty((min(_SILU_ROWS, x.T), h.shape[1]))
-    for lo in range(0, x.T, _SILU_ROWS):
-        block = h[lo : lo + _SILU_ROWS]
-        block *= _sigmoid(block, t[: block.shape[0]])
-    out = h @ w.w2
+    T = x.T
+    starts = range(0, max(T - _SILU_ROWS, 0) + 1, _SILU_ROWS)
+    h = np.empty((T - starts[-1], w.w1.shape[1]))
+    t = np.empty_like(h)
+    out = np.empty((T, w.d))
+    for lo, hi in zip(starts, [*starts[1:], T]):
+        block = np.matmul(x.data[lo:hi], w.w1, out=h[: hi - lo])
+        block += w.b1
+        # the same ops as silu, and block *= t rounds as t *= block
+        block *= _sigmoid(block, t[: hi - lo])
+        np.matmul(block, w.w2, out=out[lo:hi])
     out += w.b2
     return FeatureSequence(_Fresh(out))
 

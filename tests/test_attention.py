@@ -28,7 +28,7 @@ from mixerlab import (
     softmax_attention,
     softmax_mixer,
 )
-from mixerlab.attention import _rope_tables
+from mixerlab.attention import _SOFTMAX_CHUNK, _rope_tables
 from mixerlab.rng import make_rng
 
 
@@ -41,7 +41,7 @@ def _softmax_rows_reference(logits):
     return shifted
 
 
-def _softmax_attention_reference(q, k, v, chunk=512):
+def _softmax_attention_reference(q, k, v, chunk=_SOFTMAX_CHUNK):
     """softmax_attention with fresh logits and weights per block of
     ``chunk`` rows: the same GEMM shapes and row partition, no reused buffer."""
     kt = np.ascontiguousarray(k.T)
@@ -175,10 +175,10 @@ class TestSoftmaxAttention:
         w /= w.sum(axis=1, keepdims=True)
         np.testing.assert_allclose(y.data, w @ v, atol=1e-12)
 
-    @pytest.mark.parametrize("T", [1, 3, 512, 513, 1100])
+    @pytest.mark.parametrize("T", [1, 3, 63, 64, 65, 512, 513, 1100, 2049])
     def test_bit_identical_to_fresh_buffer_form(self, T):
         """The reused buffer changes where results are written, not what is
-        computed. T=513 leaves a one-row tail block."""
+        computed. T=65, 513 and 2049 leave a one-row tail tile."""
         rng = np.random.default_rng(T)
         q, k, v = (rng.standard_normal((T, 64)) * 0.3 for _ in range(3))
         y = softmax_attention(QkvTriple(q, k, v))
@@ -707,22 +707,27 @@ class TestMultiHeadAttention:
         assert roped.data.shape == (6, d)
         assert not np.allclose(plain.data, roped.data)
 
-    @pytest.mark.parametrize("kind", ["softmax", "favor"])
-    def test_bit_identical_to_concatenated_heads(self, kind):
-        """At T=600, past one 512-row softmax chunk, the heads written into
-        one array equal the per-head list joined by np.concatenate."""
+    @pytest.mark.parametrize("kind, with_rope", [
+        pytest.param(kind, with_rope, id=kind if with_rope else f"{kind}-no-rope")
+        for with_rope in (True, False) for kind in ("softmax", "favor")
+    ])
+    def test_bit_identical_to_concatenated_heads(self, kind, with_rope):
+        """At T=600, over ten 64-row softmax tiles, the heads written over
+        Q equal the per-head list joined by np.concatenate."""
         rng = np.random.default_rng(34)
         T, d, num_heads = 600, 16, 2
         x = rng.standard_normal((T, d))
         w = MhaWeights(*(rng.standard_normal((d, d)) / 4 for _ in range(4)))
         cfg = MultiHeadConfig(d_model=d, num_heads=num_heads)
-        rope = RopeConfig(d_head=cfg.d_head)
+        rope = RopeConfig(d_head=cfg.d_head) if with_rope else None
         omegas = [draw_orthogonal_features(cfg.d_head, 8, s) for s in range(num_heads)]
         big_q, big_k, big_v = x @ w.wq, x @ w.wk, x @ w.wv
         heads = []
         for h in range(num_heads):
             sl = slice(h * cfg.d_head, (h + 1) * cfg.d_head)
-            q, k = apply_rope(big_q[:, sl], rope), apply_rope(big_k[:, sl], rope)
+            q, k = big_q[:, sl], big_k[:, sl]
+            if with_rope:
+                q, k = apply_rope(q, rope), apply_rope(k, rope)
             qkv = QkvTriple(q, k, big_v[:, sl])
             if kind == "softmax":
                 heads.append(softmax_attention(qkv).data)

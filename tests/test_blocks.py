@@ -18,6 +18,7 @@ from mixerlab import (
     FeatureSequence,
     FfwWeights,
     NumericRangeError,
+    QkvTriple,
     RopeConfig,
     ScanMixerConfig,
     SelectiveWeights,
@@ -35,6 +36,7 @@ from mixerlab import (
     mixer_apply,
     save_tensors,
     silu,
+    softmax_attention,
     stack_forward,
     stack_from_tensors,
     stack_to_tensors,
@@ -206,11 +208,14 @@ class TestFfwApply:
         want = _silu_reference(x @ w.w1 + w.b1) @ w.w2 + w.b2
         assert np.array_equal(ffw_apply(FeatureSequence(x), w).data, want)
 
-    def test_bit_identical_to_public_silu_across_row_blocks(self):
-        """T=600 is not a multiple of the in-place SiLU's row block, so the
-        last block is partial."""
+    @pytest.mark.parametrize("d", [16, 256])
+    @pytest.mark.parametrize("T", [1, 255, 256, 257, 511, 512, 513, 769, 2049])
+    def test_bit_identical_to_public_silu_across_row_blocks(self, T, d):
+        """The row blocks of 256 rows, the last taking the remainder, give
+        the unblocked expression's bits at every partition edge; a 1-row
+        tail block (T=513 split plainly) takes another BLAS path."""
         rng = np.random.default_rng(7)
-        d, h, T = 16, 64, 600
+        h = 4 * d
         w = FfwWeights(
             w1=rng.standard_normal((d, h)) * 0.3,
             b1=rng.standard_normal(h),
@@ -418,13 +423,18 @@ class TestStageScratch:
 
     @pytest.mark.parametrize(
         "stage, limit_mb",
-        [("ffw_apply", 26.0), ("layer_norm_apply", 10.5)],
+        [("ffw_apply", 10.0), ("layer_norm_apply", 10.5),
+         ("mixer_apply", 22.0), ("softmax_attention", 4.0)],
     )
     def test_traced_peak_at_benchmark_size(self, stage, limit_mb):
-        """At T=2048, d=256 (4.2 MB per activation) the FFW keeps its hidden
-        array and one row block of SiLU scratch, and the layer norm one
-        array besides its product temporary; copying either output or a
-        second hidden array breaks the limit."""
+        """At T=2048, d=256 (4.2 MB per activation) the FFW keeps its output
+        and two 256-row blocks of hidden scratch (2.1 MB each), and the
+        layer norm one array besides its product temporary. The softmax
+        mixer stage holds Q, K and V, writes the heads over Q and frees K
+        and V before the output product; one head's attention (d_head=64)
+        holds its output, a transposed K and one (64, T) logits tile.
+        Copying an output, a whole hidden array or a separate heads
+        array, or a 512-row tile, breaks the limit."""
         rng = np.random.default_rng(16)
         T, d = 2048, 256
         x = FeatureSequence(rng.standard_normal((T, d)))
@@ -433,9 +443,13 @@ class TestStageScratch:
             rng.standard_normal((4 * d, d)) / 32, np.zeros(d),
         )
         scale, shift = np.ones(d), np.zeros(d)
+        qkv = QkvTriple(*(rng.standard_normal((T, 64)) * 0.1 for _ in range(3)))
+        (block,) = init_stack(BlockStackConfig(d_model=d, num_blocks=1, mixer_kind="softmax"), 16)
         run = {
             "ffw_apply": lambda: ffw_apply(x, w),
             "layer_norm_apply": lambda: layer_norm_apply(x, scale, shift),
+            "mixer_apply": lambda: mixer_apply(x, block.mixer_config),
+            "softmax_attention": lambda: softmax_attention(qkv),
         }[stage]
         tracemalloc.start()
         try:
