@@ -15,8 +15,13 @@ approximation to the quadratic form, and ``phi(Q) @ phi(K).T`` (row
 normalized) is its rank-<=r materialized mixer.
 
 Both forms produce row-stochastic mixing matrices: non-negative entries
-with unit row sums. Multi-head attention is FAVOR+ exactly when it holds
-feature matrices.
+with unit row sums. Both attention paths normalize alike: the weights are
+left unnormalized, multiplied into V, and each output row is divided once
+by its weight row's sum, so the division runs over (T, d_head) outputs
+rather than the T x T map. Only the materialized mixers divide the map
+itself. Softmax attention also skips the row-max shift before ``exp``
+where the logits are bounded well inside the float64 range. Multi-head
+attention is FAVOR+ exactly when it holds feature matrices.
 """
 
 from __future__ import annotations
@@ -59,10 +64,12 @@ __all__ = [
 ]
 
 # rows per tile when streaming the T x T logits: a (64, T) tile is 1 MB
-# at T=2048, small enough to stay in a 2 MB L2 between its two GEMMs. A
-# row rounds as under any other partition unless a tile's GEMM takes
-# another BLAS kernel path for it (a short tail can, and at some T and
-# d_head a tile's edge rows), so another size can move last bits.
+# at T=2048, small enough to stay in a 2 MB L2 between its two GEMMs; the
+# tile's weights stay unnormalized, and only its (64, d_head) output rows
+# are divided by the row sums. A row rounds as under any other partition
+# unless a tile's GEMM takes another BLAS kernel path for it (a short tail
+# can, and at some T and d_head a tile's edge rows), so another size can
+# move last bits.
 _SOFTMAX_CHUNK = 64
 
 _ORTHO_TOL = 1e-10
@@ -200,17 +207,45 @@ class MhaWeights(_Frozen):
         return self.wq.shape[0]
 
 
-def _row_softmax(b: np.ndarray, col: Optional[np.ndarray] = None) -> np.ndarray:
-    """Replace each row of ``b`` by its softmax, in place, and return ``b``.
+def _exp_rows(b: np.ndarray, col: Optional[np.ndarray] = None, shift: bool = True) -> np.ndarray:
+    """Replace each row of ``b`` by its exponentials, in place, and return
+    their row sums as a (rows, 1) array: ``col`` when given. Dividing a
+    row by its sum gives its softmax.
 
-    ``col`` is optional (rows, 1) scratch for the row max and row sum.
+    With ``shift`` each row's max is subtracted first (held in ``col``),
+    so every finite row keeps a 1 where its max was and sums to at least
+    1. Without it the caller must have shown that no exponential leaves
+    the normal float64 range.
     """
-    # row-max shift keeps exp in range; exact for any finite logits
-    col = np.max(b, axis=1, keepdims=True, out=col)
-    np.subtract(b, col, out=b)
+    if shift:
+        col = np.max(b, axis=1, keepdims=True, out=col)
+        np.subtract(b, col, out=b)
     np.exp(b, out=b)
-    np.divide(b, np.sum(b, axis=1, keepdims=True, out=col), out=b)
-    return b
+    return np.sum(b, axis=1, keepdims=True, out=col)
+
+
+# largest bound on the logits' size for which softmax attention skips the
+# row-max shift: exp(+-300) (about 1e130 and 1e-130) keeps every weight
+# normal and every row sum finite for any T
+_UNSHIFTED_BOUND = 300.0
+
+
+def _unshifted_is_safe(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> bool:
+    """Whether softmax attention may skip the row-max shift.
+
+    Every logit is at most ``|q_i| |k_j|`` in size (Cauchy-Schwarz). When
+    that bound is at most ``_UNSHIFTED_BOUND`` and T times the largest
+    ``|v|`` times exp of it stays below 1e300, no weight, row sum or
+    weighted sum of v can overflow, so the check after the loop raises
+    exactly where the shifted form would. Softmax is shift-invariant, so
+    only rounding changes; an output row whose logits all lie far below
+    0 keeps full relative precision down to values of about 4e-178
+    rather than about 2e-308. A non-finite bound is not safe.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = np.sqrt(np.max(np.einsum("ij,ij->i", q, q)) * np.max(np.einsum("ij,ij->i", k, k)))
+        return bool(bound <= _UNSHIFTED_BOUND
+                    and q.shape[0] * max(v.max(), -v.min()) * np.exp(bound) < 1e300)
 
 
 def softmax_attention(qkv: QkvTriple) -> FeatureSequence:
@@ -219,9 +254,19 @@ def softmax_attention(qkv: QkvTriple) -> FeatureSequence:
     Logits are unscaled inner products (see module docstring). The T x T
     matrix is streamed in tiles of ``_SOFTMAX_CHUNK`` (64) rows through
     one reused buffer, so besides the output and a transposed copy of k
-    the scratch memory is O(64 * T). The result agrees with the
-    one-shot form to within rounding (BLAS rounding can depend on the row
-    partition) and is deterministic for equal inputs.
+    the scratch memory is O(64 * T). Each tile's exponentials are
+    multiplied into v unnormalized, and the tile's output rows are then
+    divided by their weight sums, as FAVOR+ and FlashAttention do. The
+    row-max shift before ``exp`` is skipped when the logits are bounded
+    well inside the float64 range (see :func:`_unshifted_is_safe`). Either
+    way the rounding differs from dividing shifted weights first, so the
+    result agrees with ``softmax_mixer(q, k).m @ v`` to within rounding,
+    and it is deterministic for equal inputs.
+
+    Raises NumericRangeError when the logits overflow, and also when
+    a value column's unnormalized weighted sum overflows even though its
+    mean would not (``v`` near the float64 limit), as
+    :func:`favor_attention` does.
     """
     q, k, v = qkv.q, qkv.k, qkv.v
     T = qkv.T
@@ -230,14 +275,16 @@ def softmax_attention(qkv: QkvTriple) -> FeatureSequence:
     rows = min(_SOFTMAX_CHUNK, T)
     buf = np.empty((rows, T))
     col = np.empty((rows, 1))
-    # overflowing logits leave NaNs, which FeatureSequence's check raises
+    shift = not _unshifted_is_safe(q, k, v)
+    # an overflow leaves inf or NaN in the output, which FeatureSequence's check raises
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, T, _SOFTMAX_CHUNK):
             hi = min(lo + _SOFTMAX_CHUNK, T)
             n = hi - lo
             np.matmul(q[lo:hi], kt, out=buf[:n])
-            _row_softmax(buf[:n], col[:n])
+            sums = _exp_rows(buf[:n], col[:n], shift)
             np.matmul(buf[:n], v, out=out[lo:hi])
+            out[lo:hi] /= sums
     return FeatureSequence(_Fresh(out))
 
 
@@ -257,7 +304,9 @@ def softmax_mixer(q, k) -> MatrixMixer:
     """
     q, k = _check_qk(q, k)
     with np.errstate(over="ignore", invalid="ignore"):  # MatrixMixer checks finiteness
-        return MatrixMixer(_Fresh(_row_softmax(q @ k.T)), MixerClass.dense())
+        w = q @ k.T
+        w /= _exp_rows(w)
+        return MatrixMixer(_Fresh(w), MixerClass.dense())
 
 
 def draw_orthogonal_features(d_head: int, r: int, seed: int) -> OrthogonalFeatureMatrix:

@@ -28,7 +28,7 @@ from mixerlab import (
     softmax_attention,
     softmax_mixer,
 )
-from mixerlab.attention import _SOFTMAX_CHUNK, _rope_tables
+from mixerlab.attention import _SOFTMAX_CHUNK, _rope_tables, _unshifted_is_safe
 from mixerlab.rng import make_rng
 
 
@@ -41,14 +41,18 @@ def _softmax_rows_reference(logits):
     return shifted
 
 
-def _softmax_attention_reference(q, k, v, chunk=_SOFTMAX_CHUNK):
+def _softmax_attention_reference(q, k, v, shift, chunk=_SOFTMAX_CHUNK):
     """softmax_attention with fresh logits and weights per block of
-    ``chunk`` rows: the same GEMM shapes and row partition, no reused buffer."""
+    ``chunk`` rows: the same GEMM shapes and row partition, no reused
+    buffer, the row max subtracted when ``shift``, and each block's output
+    rows divided by their weight sums."""
     kt = np.ascontiguousarray(k.T)
     out = np.empty_like(v)
     for lo in range(0, q.shape[0], chunk):
         hi = min(lo + chunk, q.shape[0])
-        out[lo:hi] = _softmax_rows_reference(q[lo:hi] @ kt) @ v
+        logits = q[lo:hi] @ kt
+        e = np.exp(logits - logits.max(axis=1, keepdims=True) if shift else logits)
+        out[lo:hi] = (e @ v) / e.sum(axis=1, keepdims=True)
     return out
 
 
@@ -141,6 +145,18 @@ class TestSoftmaxAttention:
         via = apply_mixer(softmax_mixer(q, k), FeatureSequence(v))
         np.testing.assert_allclose(direct.data, via.data, atol=1e-13)
 
+    @pytest.mark.parametrize("T", [63, 64, 65, 2048, 2049])
+    def test_deferred_division_matches_materialized_mixer(self, T):
+        """Dividing each tile's output rows, not its weights, by the row
+        sums moves only rounding, with the row-max shift skipped or kept:
+        within 1e-13 of the normalized map times v, on both sides of a
+        tile edge and with a one-row tail."""
+        rng = np.random.default_rng(T)
+        q, k, v = (rng.standard_normal((T, 64)) for _ in range(3))
+        for q_scale in (1.0, 40.0):  # shift skipped, then kept
+            y = softmax_attention(QkvTriple(q * q_scale, k, v))
+            np.testing.assert_allclose(y.data, softmax_mixer(q * q_scale, k).m @ v, rtol=0, atol=1e-13)
+
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(3)
         q = rng.standard_normal((5, 4))
@@ -178,12 +194,30 @@ class TestSoftmaxAttention:
     @pytest.mark.parametrize("T", [1, 3, 63, 64, 65, 512, 513, 1100, 2049])
     def test_bit_identical_to_fresh_buffer_form(self, T):
         """The reused buffer changes where results are written, not what is
-        computed. T=65, 513 and 2049 leave a one-row tail tile."""
+        computed, with the row-max shift skipped (small logits) and kept
+        (q scaled past the bound). T=65, 513 and 2049 leave a one-row tail
+        tile."""
         rng = np.random.default_rng(T)
         q, k, v = (rng.standard_normal((T, 64)) * 0.3 for _ in range(3))
-        y = softmax_attention(QkvTriple(q, k, v))
-        assert np.array_equal(y.data, _softmax_attention_reference(q, k, v))
+        for q_scale, shift in ((1.0, False), (200.0, True)):
+            assert _unshifted_is_safe(q * q_scale, k, v) is not shift
+            y = softmax_attention(QkvTriple(q * q_scale, k, v))
+            assert np.array_equal(y.data, _softmax_attention_reference(q * q_scale, k, v, shift))
         assert np.array_equal(softmax_mixer(q, k).m, _softmax_rows_reference(q @ k.T))
+
+    def test_values_that_would_overflow_unshifted_keep_the_shift(self):
+        """Logits bounded by 250 fit exp, but 600 weights up to exp(250)
+        times values of 1e200 would overflow; the shift is kept, so the
+        output is finite and matches the normalized map times v."""
+        rng = np.random.default_rng(5)
+        q, k = (rng.standard_normal((600, 4)) for _ in range(2))
+        q *= np.sqrt(250.0) / np.linalg.norm(q, axis=1, keepdims=True)
+        k *= np.sqrt(250.0) / np.linalg.norm(k, axis=1, keepdims=True)
+        v = rng.standard_normal((600, 4)) * 1e200
+        assert not _unshifted_is_safe(q, k, v)
+        assert _unshifted_is_safe(q, k, v * 1e-100)
+        y = softmax_attention(QkvTriple(q, k, v))
+        assert np.max(np.abs(y.data - softmax_mixer(q, k).m @ v)) <= 1e-13 * 1e200
 
     def test_overflowing_logits_raise(self):
         """Finite inputs whose logits overflow give non-finite weights,
@@ -403,10 +437,13 @@ class TestPositiveFeatureMap:
 
 
 @pytest.mark.parametrize("case", ["feature-map", "unstabilized", "favor-mixer",
-                                  "error-curve", "softmax-mixer", "softmax-attention"])
+                                  "error-curve", "softmax-mixer", "softmax-attention",
+                                  "softmax-attention-values"])
 def test_overflow_raises_without_a_warning(case):
     """Each overflow reaches the caller as a NumericRangeError alone:
-    no numpy RuntimeWarning is printed first."""
+    no numpy RuntimeWarning is printed first. With q = 0 every weight is
+    1 before the division, so 600 values of 1e306 sum past the float64
+    limit although their mean does not, as in favor_attention."""
     huge = np.full((600, 2), 1e200)
     k = np.zeros_like(huge)
     k[:, 1] = 1.0
@@ -420,6 +457,8 @@ def test_overflow_raises_without_a_warning(case):
         "error-curve": lambda: approximation_error_curve(huge, k, (4,), (0,)),
         "softmax-mixer": lambda: softmax_mixer(huge[:3], huge[:3]),
         "softmax-attention": lambda: softmax_attention(QkvTriple(huge, huge, np.ones((600, 2)))),
+        "softmax-attention-values": lambda: softmax_attention(
+            QkvTriple(np.zeros((600, 2)), k, np.full((600, 2), 1e306))),
     }[case]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
