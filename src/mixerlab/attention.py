@@ -514,31 +514,35 @@ def multi_head_attention(
 ) -> FeatureSequence:
     """Multi-head attention over a feature sequence.
 
-    Projects x to Q, K, V, splits heads as contiguous d_head slices,
-    optionally applies rotary embeddings to each head's Q and K, runs
-    attention per head, writes each head's output over the Q columns it
-    came from, drops K and V, and applies the output projection to the
-    overwritten Q. Attention is FAVOR+ exactly when ``omegas`` gives
-    feature matrices, one per head, else softmax.
+    Heads are contiguous d_head slices of the projections. Each head
+    projects x to its own (T, d_head) Q, K and V through its columns of
+    the projection matrices, optionally applies rotary embeddings to Q
+    and K, runs attention and writes its output into one (T, d_model)
+    heads array; its arrays are freed before the next head starts, so
+    no (T, d_model) Q, K or V is ever held. The output projection of the
+    heads array ends the stage. Attention is FAVOR+ exactly when
+    ``omegas`` gives feature matrices, one per head, else softmax.
     """
     omegas = _check_attention_args(weights, config, rope, omegas)
     if x.d != config.d_model:
         raise ShapeError(f"sequence width {x.d} != d_model {config.d_model}")
 
-    big_q = x.data @ weights.wq
-    big_k = x.data @ weights.wk
-    big_v = x.data @ weights.wv
     dh = config.d_head
+    heads = np.empty((x.T, config.d_model))
     for h in range(config.num_heads):
         sl = slice(h * dh, (h + 1) * dh)
-        q, k, v = big_q[:, sl], big_k[:, sl], big_v[:, sl]
-        if rope is not None:
-            q, k = _Fresh(apply_rope(q, rope)), _Fresh(apply_rope(k, rope))
-        # qkv holds its own copies, so the head's output can go over its Q
-        qkv = QkvTriple(q, k, v)
-        if omegas is None:
-            big_q[:, sl] = softmax_attention(qkv).data
-        else:
-            big_q[:, sl] = favor_attention(qkv, omegas[h]).data
-    del big_k, big_v, q, k, v, qkv  # free K and V before the output GEMM
-    return FeatureSequence(_Fresh(big_q @ weights.wo))
+        heads[:, sl] = _one_head(x.data, weights, sl, rope,
+                                 None if omegas is None else omegas[h])
+    return FeatureSequence(_Fresh(heads @ weights.wo))
+
+
+def _one_head(x: np.ndarray, weights: MhaWeights, sl: slice, rope: Optional[RopeConfig],
+              omega: Optional[OrthogonalFeatureMatrix]) -> np.ndarray:
+    """One head of :func:`multi_head_attention`: the (T, d_head) output of
+    the projection columns ``sl``. Its Q, K and V die with the call."""
+    q, k, v = (x @ w[:, sl] for w in (weights.wq, weights.wk, weights.wv))
+    if rope is not None:
+        q, k = apply_rope(q, rope), apply_rope(k, rope)
+    qkv = QkvTriple(_Fresh(q), _Fresh(k), _Fresh(v))
+    out = softmax_attention(qkv) if omega is None else favor_attention(qkv, omega)
+    return out.data

@@ -424,16 +424,20 @@ class TestStageScratch:
     @pytest.mark.parametrize(
         "stage, limit_mb",
         [("ffw_apply", 10.0), ("layer_norm_apply", 10.5),
-         ("mixer_apply", 22.0), ("softmax_attention", 4.0)],
+         ("mixer_apply", 13.0), ("mixer_apply-favor", 13.0),
+         ("block_forward", 17.0), ("softmax_attention", 4.0)],
     )
     def test_traced_peak_at_benchmark_size(self, stage, limit_mb):
         """At T=2048, d=256 (4.2 MB per activation) the FFW keeps its output
         and two 256-row blocks of hidden scratch (2.1 MB each), and the
-        layer norm one array besides its product temporary. The softmax
-        mixer stage holds Q, K and V, writes the heads over Q and frees K
-        and V before the output product; one head's attention (d_head=64)
-        holds its output, a transposed K and one (64, T) logits tile.
-        Copying an output, a whole hidden array or a separate heads
+        layer norm one array besides its product temporary. The attention
+        stage, softmax or FAVOR+, holds one (T, d) heads array next to one
+        head's (T, 64) Q, K and V, which it projects through that head's
+        weight columns and frees before the next head, then the output
+        product; one head's softmax attention holds its output, a
+        transposed K and one (64, T) logits tile. The block adds its input
+        residual and the stage outputs around that. Holding the full
+        (T, d) Q, K or V projections, copying an output or a whole hidden
         array, or a 512-row tile, breaks the limit."""
         rng = np.random.default_rng(16)
         T, d = 2048, 256
@@ -444,13 +448,15 @@ class TestStageScratch:
         )
         scale, shift = np.ones(d), np.zeros(d)
         qkv = QkvTriple(*(rng.standard_normal((T, 64)) * 0.1 for _ in range(3)))
-        (block,) = init_stack(BlockStackConfig(d_model=d, num_blocks=1, mixer_kind="softmax"), 16)
+        kind = "favor" if stage.endswith("-favor") else "softmax"
+        (block,) = init_stack(BlockStackConfig(d_model=d, num_blocks=1, mixer_kind=kind), 16)
         run = {
             "ffw_apply": lambda: ffw_apply(x, w),
             "layer_norm_apply": lambda: layer_norm_apply(x, scale, shift),
             "mixer_apply": lambda: mixer_apply(x, block.mixer_config),
+            "block_forward": lambda: block_forward(x, block),
             "softmax_attention": lambda: softmax_attention(qkv),
-        }[stage]
+        }[stage.removesuffix("-favor")]
         tracemalloc.start()
         try:
             run()
