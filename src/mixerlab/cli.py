@@ -409,7 +409,10 @@ def cmd_demo(cfg: RunConfig) -> int:
     for i, block in enumerate(blocks):
         y = block_forward(y, block)
         dilation = block.conv.dilation
-        rows.append(("block_norm", i, dilation, float(np.linalg.norm(y.data))))
+        # numpy's pairwise sum, not np.linalg.norm's BLAS dot, whose
+        # rounding follows the BLAS thread count
+        norm = np.sqrt(np.sum(y.data * y.data))
+        rows.append(("block_norm", i, dilation, float(norm)))
     checksum = hashlib.sha256(np.ascontiguousarray(y.data).tobytes()).hexdigest()
     rows.append(("checksum", None, None, checksum))
     write_csv(_out_path(cfg, "demo.csv"), ("record", "block", "dilation", "value"), rows)
