@@ -28,8 +28,11 @@ exp(-delta_t * exp(a_log)) and scales b_t = delta_t * (w_b @ x_t), with
 c_t = w_c @ x_t. The decay is input-dependent, which is what lets the
 scan gate information flow per position.
 
-Two bidirectional combinations of a forward and a backward scan, both
-run by that one pass:
+Two bidirectional combinations of one pair of forward and backward
+scans: ``HydraParams`` is a ``BiMambaParams`` plus a diagonal. That one
+pass (``_scan_pair``) runs both, and ``_pair_matrix`` builds the matrix
+of either from the two materialized scans, placed as the pass places
+the scans:
 
 * ``hydra_*``: the forward matrix shifted one row down (strictly lower
   part), the reversed backward matrix shifted one row up (strictly
@@ -173,14 +176,6 @@ class SelectiveWeights(_Frozen):
         return self.w_b.shape[0]
 
 
-def _check_pair(fwd: ScanParams, bwd: ScanParams) -> None:
-    if fwd.T != bwd.T or fwd.N != bwd.N:
-        raise ShapeError(
-            f"forward and backward params must agree on (T, N), got "
-            f"({fwd.T}, {fwd.N}) and ({bwd.T}, {bwd.N})"
-        )
-
-
 @dataclass(frozen=True)
 class BiMambaParams:
     """Forward and backward scan parameters, backward in reversed time."""
@@ -189,31 +184,11 @@ class BiMambaParams:
     bwd: ScanParams
 
     def __post_init__(self) -> None:
-        _check_pair(self.fwd, self.bwd)
-
-    @property
-    def T(self) -> int:
-        return self.fwd.T
-
-    @property
-    def N(self) -> int:
-        return self.fwd.N
-
-
-@dataclass(frozen=True)
-class HydraParams(_Frozen):
-    """Forward and backward scans plus a free diagonal ``diag_delta`` (T,)."""
-
-    fwd: ScanParams
-    bwd: ScanParams
-    diag_delta: np.ndarray
-
-    def __post_init__(self) -> None:
-        _check_pair(self.fwd, self.bwd)
-        (diag,) = _freeze(self, diag_delta=1)
-        if diag.shape[0] != self.fwd.T:
+        fwd, bwd = self.fwd, self.bwd
+        if fwd.T != bwd.T or fwd.N != bwd.N:
             raise ShapeError(
-                f"diag_delta has length {diag.shape[0]}, expected {self.fwd.T}"
+                f"forward and backward params must agree on (T, N), got "
+                f"({fwd.T}, {fwd.N}) and ({bwd.T}, {bwd.N})"
             )
 
     @property
@@ -223,6 +198,19 @@ class HydraParams(_Frozen):
     @property
     def N(self) -> int:
         return self.fwd.N
+
+
+@dataclass(frozen=True)
+class HydraParams(BiMambaParams, _Frozen):
+    """The scan pair plus a free diagonal ``diag_delta`` (T,)."""
+
+    diag_delta: np.ndarray
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        (diag,) = _freeze(self, diag_delta=1)
+        if diag.shape[0] != self.T:
+            raise ShapeError(f"diag_delta has length {diag.shape[0]}, expected {self.T}")
 
 
 def _as_signal(x, T: int) -> np.ndarray:
@@ -248,18 +236,19 @@ def ssm_scan(params: ScanParams, x) -> np.ndarray:
     return y
 
 
-def _scan_pair(fwd: ScanParams, bwd: ScanParams, X: np.ndarray, diag=None) -> np.ndarray:
+def _scan_pair(pair: BiMambaParams, X: np.ndarray, diag=None) -> np.ndarray:
     """Both scans of each column of X (T, d), added into one (T, d) output:
     the package's one loop over channels. With ``diag`` None (bimamba) the
     forward scan and the flipped backward scan of the reversed column land
     aligned on zeros; otherwise (hydra) they land one step later and one
-    step earlier on ``diag * X``, with ``diag`` (T, 1) or (d,)."""
+    step earlier on ``diag * X``, with ``diag`` (T, 1) or (d,).
+    :func:`_pair_matrix` is its T x T matrix."""
     s = 0 if diag is None else 1
     y = np.zeros_like(X) if diag is None else diag * X
     T = X.shape[0]
     for ch in range(X.shape[1]):
-        y[s:, ch] += ssm_scan(fwd, X[:, ch])[: T - s]
-        y[::-1, ch][s:] += ssm_scan(bwd, X[::-1, ch])[: T - s]
+        y[s:, ch] += ssm_scan(pair.fwd, X[:, ch])[: T - s]
+        y[::-1, ch][s:] += ssm_scan(pair.bwd, X[::-1, ch])[: T - s]
     return y
 
 
@@ -302,6 +291,22 @@ def ssm_mixer(params: ScanParams) -> MatrixMixer:
     return MatrixMixer(_Fresh(m), MixerClass.semiseparable(params.N))
 
 
+def _pair_matrix(pair: BiMambaParams, diag=None) -> MatrixMixer:
+    """The T x T matrix of :func:`_scan_pair`, tagged quasiseparable(N),
+    built from the materialized scans so that it checks the scans rather
+    than repeats them. The forward matrix and the both-axes flip of the
+    backward one are placed as ``_scan_pair`` places the two scans:
+    aligned when ``diag`` is None (bimamba), otherwise one row down and
+    one row up with ``diag`` (T,) written on the diagonal (hydra)."""
+    T, s = pair.T, 0 if diag is None else 1
+    m = np.zeros((T, T))
+    m[s:] = ssm_mixer(pair.fwd).m[: T - s]
+    m[: T - s] += ssm_mixer(pair.bwd).m[::-1, ::-1][s:]
+    if diag is not None:
+        np.fill_diagonal(m, diag)
+    return MatrixMixer(_Fresh(m), MixerClass.quasiseparable(pair.N))
+
+
 def selective_parameterize(x: FeatureSequence, weights: SelectiveWeights) -> ScanParams:
     """Derive scan parameters from an input sequence.
 
@@ -332,17 +337,15 @@ def selective_parameterize(x: FeatureSequence, weights: SelectiveWeights) -> Sca
 
 
 def _selective_pair(x: FeatureSequence, fwd: SelectiveWeights, bwd: SelectiveWeights):
-    """Forward parameters from x, backward ones from reversed x."""
-    fwd_p = selective_parameterize(x, fwd)
-    bwd_p = selective_parameterize(FeatureSequence(x.data[::-1]), bwd)
-    _check_pair(fwd_p, bwd_p)
-    return fwd_p, bwd_p
+    """The pair of forward parameters from x and backward ones from reversed x."""
+    return BiMambaParams(selective_parameterize(x, fwd),
+                         selective_parameterize(FeatureSequence(x.data[::-1]), bwd))
 
 
 def bimamba_apply(params: BiMambaParams, x) -> np.ndarray:
     """Forward scan plus reversed backward scan of the reversed signal."""
     x = _as_signal(x, params.T)
-    return _scan_pair(params.fwd, params.bwd, x[:, None])[:, 0]
+    return _scan_pair(params, x[:, None])[:, 0]
 
 
 def bimamba_mixer(params: BiMambaParams) -> MatrixMixer:
@@ -352,9 +355,7 @@ def bimamba_mixer(params: BiMambaParams) -> MatrixMixer:
     tagged quasiseparable(N). Both summands carry a diagonal, so the
     diagonal couples the two directions.
     """
-    fwd_m = ssm_mixer(params.fwd).m
-    bwd_m = ssm_mixer(params.bwd).m
-    return MatrixMixer(_Fresh(fwd_m + bwd_m[::-1, ::-1]), MixerClass.quasiseparable(params.N))
+    return _pair_matrix(params)
 
 
 def bimamba_channelwise(
@@ -366,7 +367,7 @@ def bimamba_channelwise(
     Every channel shares them, so the stage is ``bimamba_mixer(...).m @
     x.data``, run as one call of the shared scan pair on all channels.
     """
-    return FeatureSequence(_Fresh(_scan_pair(*_selective_pair(x, fwd, bwd), x.data)))
+    return FeatureSequence(_Fresh(_scan_pair(_selective_pair(x, fwd, bwd), x.data)))
 
 
 def hydra_apply(params: HydraParams, x) -> np.ndarray:
@@ -377,7 +378,7 @@ def hydra_apply(params: HydraParams, x) -> np.ndarray:
     Boundary positions receive zero from the shifted-out ends.
     """
     x = _as_signal(x, params.T)
-    return _scan_pair(params.fwd, params.bwd, x[:, None], params.diag_delta[:, None])[:, 0]
+    return _scan_pair(params, x[:, None], params.diag_delta[:, None])[:, 0]
 
 
 def hydra_mixer(params: HydraParams) -> MatrixMixer:
@@ -387,14 +388,7 @@ def hydra_mixer(params: HydraParams) -> MatrixMixer:
     Strictly upper part: flipped backward matrix shifted one row up.
     Diagonal: diag_delta, written directly, untouched by either scan.
     """
-    T = params.T
-    fwd_m = ssm_mixer(params.fwd).m
-    up_m = ssm_mixer(params.bwd).m[::-1, ::-1]
-    m = np.zeros((T, T))
-    m[1:, :] = fwd_m[:-1, :]
-    m[:-1, :] += up_m[1:, :]
-    np.fill_diagonal(m, params.diag_delta)
-    return MatrixMixer(_Fresh(m), MixerClass.quasiseparable(params.N))
+    return _pair_matrix(params, params.diag_delta)
 
 
 def hydra_channelwise(
@@ -414,4 +408,4 @@ def hydra_channelwise(
     gain = _as_float_array(diag_gain, "diag_gain", 1)
     if gain.shape[0] != x.d:
         raise ShapeError(f"diag_gain has length {gain.shape[0]}, expected {x.d}")
-    return FeatureSequence(_Fresh(_scan_pair(*_selective_pair(x, fwd, bwd), x.data, gain)))
+    return FeatureSequence(_Fresh(_scan_pair(_selective_pair(x, fwd, bwd), x.data, gain)))
