@@ -407,8 +407,8 @@ def favor_attention(qkv: QkvTriple, omega: OrthogonalFeatureMatrix) -> FeatureSe
     up to matmul associativity. For T == 1 the normalization cancels and
     the single v row is returned unchanged.
     """
-    fq = positive_feature_map(qkv.q, omega)
-    fk = positive_feature_map(qkv.k, omega)
+    fq = _feature_map(qkv.q, omega, True)
+    fk = _feature_map(qkv.k, omega, True)
     den = _favor_normalizer(fq, fk)
     out = (fq @ (fk.T @ qkv.v)) / den[:, None]
     return FeatureSequence(_Fresh(out))

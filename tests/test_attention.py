@@ -419,6 +419,25 @@ class TestPositiveFeatureMap:
         with pytest.raises(NumericRangeError, match="key's features all underflowed"):
             run()
 
+    @pytest.mark.parametrize("build", ["favor-mixer", "favor-attention", "error-curve"])
+    def test_query_whose_features_all_underflow_raises(self, build):
+        """A query of norm 60 has every feature exp(...) = 0 after the
+        shared shift, so its row of the map would have no normalizer;
+        each favor path raises, with no numpy warning printed first."""
+        q = np.abs(np.random.default_rng(0).standard_normal((4, 4)))
+        k = np.random.default_rng(1).standard_normal((4, 4))
+        q[0] = [60.0, 0.0, 0.0, 0.0]
+        om = draw_orthogonal_features(4, 8, 1)
+        run = {
+            "favor-mixer": lambda: favor_mixer(q, k, om),
+            "favor-attention": lambda: favor_attention(QkvTriple(q, k, np.ones((4, 4))), om),
+            "error-curve": lambda: approximation_error_curve(q, k, (8,), (1,)),
+        }[build]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericRangeError, match="normalizer collapsed to zero"):
+                run()
+
     @pytest.mark.parametrize("stabilize", [True, False])
     def test_matches_expression_form_bit_for_bit(self, stabilize):
         rng = np.random.default_rng(12)

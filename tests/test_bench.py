@@ -120,6 +120,10 @@ class TestTimeOperation:
         with pytest.raises(ValueError):
             time_operation("bogus", [16, 32, 64], d=4, r_or_N=4, repeats=3, seed=0)
 
+    def test_two_sizes_rejected(self):
+        with pytest.raises(ValueError, match="need at least 3 sequence lengths, got 2"):
+            time_operation("ssm_scan", [16, 32], d=1, r_or_N=4, repeats=3, seed=0)
+
     def test_sizes_must_ascend(self):
         with pytest.raises(ValueError):
             time_operation("ssm_scan", [64, 32, 128], d=1, r_or_N=4, repeats=3, seed=0)

@@ -42,7 +42,15 @@ from mixerlab import (
     with_zeroed_projections,
 )
 from mixerlab import bench
-from mixerlab.cli import ConfigError, RunConfig, _equiv_case_err, main, parse_config_file
+from mixerlab.cli import (
+    ConfigError,
+    RunConfig,
+    _build_parser,
+    _equiv_case_err,
+    main,
+    parse_config_file,
+    resolve_config,
+)
 
 
 def read_csv(path):
@@ -232,6 +240,12 @@ class TestConfigFile:
         assert [r[0] for r in rows[1:]] == ["2", "4"]
 
 
+    def test_none_parses_to_none(self):
+        ns = _build_parser().parse_args(["diagnose", "--qk_dump", "none", "--preset", "none"])
+        cfg = resolve_config(ns)
+        assert cfg.qk_dump is None and cfg.preset is None
+
+
 class TestExitCodes:
     def test_no_command_is_usage_error(self, capsys):
         assert main([]) == 2
@@ -257,6 +271,10 @@ class TestExitCodes:
 
     def test_bad_value_is_config_error(self, tmp_path, capsys):
         assert main(["demo", "--T", "zero", "--out", str(tmp_path)]) == 2
+
+    def test_empty_list_is_config_error(self, tmp_path, capsys):
+        assert main(["diagnose", "--r_values", ",", "--out", str(tmp_path)]) == 2
+        assert "empty list" in capsys.readouterr().err
 
     def test_missing_config_file_is_io_error(self, tmp_path, capsys):
         assert main(["equiv", "--config", str(tmp_path / "absent.cfg")]) == 3
@@ -590,6 +608,13 @@ class TestDemoCommand:
         norm_rows = [r for r in rows[1:] if r[0] == "block_norm"]
         assert len(norm_rows) == 12
         assert [int(r[2]) for r in norm_rows] == [1, 1, 1, 1, 2, 2, 2, 2, 4, 4, 4, 4]
+
+    @pytest.mark.parametrize("value", ["false", "0", "no"])
+    def test_false_zero_weights_is_the_default_run(self, tmp_path, capsys, value):
+        assert main(self.DEMO_ARGS + ["--out", str(tmp_path / "a")]) == 0
+        assert main(self.DEMO_ARGS + ["--zero_weights", value, "--out", str(tmp_path / "b")]) == 0
+        for name in ("demo.csv", "demo_weights.bin"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_zeroed_weights_reduce_blocks_to_layer_norm(self, tmp_path, capsys):
         """With the zeroing flag, block i's output is the layer norm of its

@@ -342,6 +342,20 @@ class TestSketchedRank:
         # the sketch was tried and both certified and declined
         assert 0 < sum(certified) < len(certified)
 
+    @pytest.mark.parametrize("scale, certified", [
+        (1.0, True), (1e150, True), (1e300, False), (2e307, False),
+    ])
+    def test_sketch_declines_near_overflow(self, scale, certified):
+        """Near the float64 limit the sketch's residual (entries near
+        1e300) or its QR (near 2e307) overflows and the sketch declines;
+        the full SVD's count stands. Well inside the range it certifies."""
+        rng = np.random.default_rng(0)
+        m = rng.standard_normal((64, 4)) @ rng.standard_normal((4, 64))
+        m *= scale / np.abs(m).max()
+        width = 4 + mixer_core._SKETCH_OVERSAMPLE
+        assert mixer_core._sketched_rank(m, DEFAULT_RANK_TOL, width) == (4 if certified else None)
+        assert numerical_rank(MatrixMixer(m, MixerClass.low_rank(4))) == svd_rank(m) == 4
+
     def test_favor_head_map_takes_no_full_svd(self, monkeypatch):
         """A T=512, r=16 favor head map is counted without a (T, T) SVD;
         the same size softmax map tagged low_rank(16) takes one."""

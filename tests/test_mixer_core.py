@@ -22,7 +22,9 @@ from mixerlab import (
     apply_mixer,
     apply_rope,
     check_structure,
+    derive_seed,
     init_stack,
+    make_rng,
     pairwise_l2_histogram,
 )
 from mixerlab import mixer_core
@@ -303,6 +305,14 @@ class TestMixerClass:
             with pytest.raises(ValueError):
                 maker(0)
 
+    @pytest.mark.parametrize("kind, order, match", [
+        ("banded", 2, "unknown mixer class kind 'banded'"),
+        ("dense", 3, "dense mixers take no order parameter"),
+    ])
+    def test_unknown_kind_and_dense_order_refused(self, kind, order, match):
+        with pytest.raises(ValueError, match=match):
+            MixerClass(kind, order)
+
     def test_describe_mentions_kind(self):
         assert "semiseparable" in MixerClass.semiseparable(4).describe()
         assert "dense" in MixerClass.dense().describe()
@@ -325,12 +335,22 @@ class TestMatrixMixer:
         m = MatrixMixer(np.eye(6), MixerClass.dense())
         assert m.T == 6
 
+    def test_str_tag_refused(self):
+        """A tag is a MixerClass, never its kind's name, whether it is
+        stored on the mixer or passed to check_structure."""
+        with pytest.raises(TypeError, match="class_tag must be a MixerClass, got str"):
+            MatrixMixer(np.eye(3), "dense")
+        mixer = MatrixMixer(np.eye(3), MixerClass.dense())
+        with pytest.raises(TypeError, match="class_tag must be a MixerClass, got str"):
+            check_structure(mixer, class_tag="dense")
+
     @pytest.mark.parametrize(
         "clone", [copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))]
     )
     def test_copies_are_rebuilt_frozen_without_cached_results(self, clone):
         """A copy or an unpickled mixer holds its own read-only matrix and
-        none of the original's cached singular values or block ranks."""
+        none of the original's cached results: no singular values, ranks
+        or block ranks, nor any cache added later."""
         mixer = MatrixMixer(np.eye(4), MixerClass.quasiseparable(1))
         report = check_structure(mixer)
         assert check_structure(mixer, class_tag=MixerClass.low_rank(1)).violations
@@ -341,7 +361,7 @@ class TestMatrixMixer:
         assert not twin.m.flags.writeable
         with pytest.raises(ValueError):
             twin.m[:] = 0.0
-        assert not {"_singular_values", "_split_ranks"} & set(vars(twin))
+        assert set(vars(twin)) == {"m", "class_tag"}
         assert check_structure(twin) == report
 
 
@@ -576,6 +596,13 @@ def test_is_int_takes_python_ints_only(value, expected):
     if value is not None and not expected:
         with pytest.raises(ValueError, match=re.escape(f"order, got {value!r}")):
             MixerClass.quasiseparable(value)
+
+
+@pytest.mark.parametrize("make", [make_rng, derive_seed])
+@pytest.mark.parametrize("seed, error", [(-1, ValueError), (1.5, TypeError), (True, TypeError)])
+def test_seeds_must_be_non_negative_python_ints(make, seed, error):
+    with pytest.raises(error, match="seed must be"):
+        make(seed)
 
 
 class TestCompressedSweep:
