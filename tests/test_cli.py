@@ -239,7 +239,6 @@ class TestConfigFile:
         rows = read_csv(tmp_path / "approx_curve.csv")
         assert [r[0] for r in rows[1:]] == ["2", "4"]
 
-
     def test_none_parses_to_none(self):
         ns = _build_parser().parse_args(["diagnose", "--qk_dump", "none", "--preset", "none"])
         cfg = resolve_config(ns)
