@@ -450,8 +450,7 @@ _THIN_SVD_COST = 4
 _EPS = float(np.finfo(np.float64).eps)
 # Most splits one rank-stable certificate covers. A batch costs about
 # twenty numpy calls whatever its width, so wide batches save per-call
-# overhead while they certify; the columns past a failing residual or
-# certificate were solved for nothing.
+# overhead while they certify; a batch that fails was solved for nothing.
 _SWEEP_BATCH = 16
 # Keeps entry (s, t) of a batch's top rows when s >= t: column t starts t
 # rows below the first.
@@ -504,27 +503,26 @@ def _rank_stable_steps(c: np.ndarray, cols: np.ndarray, threshold: float, err: f
     rows; its first t entries belong to other blocks and are masked out.
     Column t is solved against ``c[t+1:]``: one product gives all
     right-hand sides, one stacked solve takes all Grams ``c[t+1:]^T
-    c[t+1:]`` (``c[p:]``'s plus the rows above, so nothing cancels) and
-    is refined once if a residual is not yet within the drop floor, and
-    one product gives all residuals. Returns ``(new_c, step_err, q)``
-    for the leading q columns within the floor, q halved while the
-    certificate fails, or None when no column passes and the caller
-    must take an SVD step.
+    c[t+1:]`` (``c[p:]``'s plus the rows above, so nothing cancels), and
+    one product gives all residuals. The batch is folded whole or not at
+    all: returns ``(new_c, step_err)`` when every residual is within the
+    drop floor and the certificate passes, or None, and the caller must
+    take an SVD step.
 
-    ``new_c = c[q:] L``, with ``L`` the Cholesky factor of ``I + Y Y^T``
-    for the q solutions Y. ``step_err`` charges each residual norm and
+    ``new_c = c[p:] L``, with ``L`` the Cholesky factor of ``I + Y Y^T``
+    for the p solutions Y. ``step_err`` charges each residual norm and
     the rounding of its product and norm (Higham 2002, §3.1, with ``||
     |c| |y| || <= ||c||_F ||y||``), plus the rounding of ``new_c``:
     forming ``I + Y Y^T`` and the Cholesky backward error (Higham 2002,
     Thm 10.3) move ``L L^T`` by at most ``delta = 3 gamma (k +
     ||Y||_F^2)``; no eigenvalue of ``I + Y Y^T`` is below 1, so one of
     its exact square roots lies within ``delta`` of ``L``; the product
-    adds ``gamma ||c||_F ||L||_F``. A Cholesky factorization of ``c[q:]^T
-    c[q:]`` minus a shift certifies ``c[q:]``'s smallest value: the
+    adds ``gamma ||c||_F ||L||_F``. A Cholesky factorization of ``c[p:]^T
+    c[p:]`` minus a shift certifies ``c[p:]``'s smallest value: the
     square of threshold plus band plus that rounding, plus the Gram
     product's rounding and the Cholesky backward error (Demmel 1989;
     Rump 2006, BIT 46). By the proof in :func:`_split_ranks` that
-    certifies all q counts, and every value of ``new_c`` clears
+    certifies all p counts, and every value of ``new_c`` clears
     threshold + band.
     """
     rows, k = c.shape
@@ -534,51 +532,40 @@ def _rank_stable_steps(c: np.ndarray, cols: np.ndarray, threshold: float, err: f
     slab[:p] *= mask
     below, top = c[1:], c[1:p]
     grams = (top.T * mask[:-1].T[:, None, :]) @ top + c[p:].T @ c[p:]
-    y, r = np.zeros((p, k)), slab
     try:
-        # solve, then refine once if a residual is not yet within the floor;
-        # comparisons are written so that a NaN fails them
-        for _ in range(2):
-            y += np.linalg.solve(grams, (below.T @ r).T[:, :, None])[:, :, 0]
-            r = slab - below @ y.T
-            r[:p] *= mask
-            norms = np.sqrt(np.einsum("ij,ij->j", r, r))
-            fits = norms <= floor
-            if fits.all():
-                break
+        y = np.linalg.solve(grams, (below.T @ slab).T[:, :, None])[:, :, 0]
     except np.linalg.LinAlgError:
         return None
-    q = p if fits.all() else int(fits.argmin())
-    if not q:
+    r = slab - below @ y.T
+    r[:p] *= mask
+    norms = np.sqrt(np.einsum("ij,ij->j", r, r))
+    # written so that a NaN fails it
+    if not np.all(norms <= floor):
         return None
     g = _gamma(rows + 2 * k + 8)
     tiny = (rows + k + 8) * _SWEEP_TINY_ROOT
     frobenius = math.sqrt(float(grams[0].trace()))
     yy = np.einsum("ij,ij->i", y, y)
-    charged = np.cumsum((1.0 + g) * norms + tiny + 2.0 * g * (
-        np.sqrt(np.einsum("ij,ij->j", slab, slab)) + frobenius * np.sqrt(yy)))
-    yy = np.cumsum(yy)
-    while q:
-        gram = grams[q - 1].copy()
-        trace = float(gram.trace())
-        spread = k + float(yy[q - 1])
-        factor = math.sqrt(trace) * g * (4.0 * spread + 2.0 * math.sqrt(spread))
-        step_err = float(charged[q - 1]) + factor
-        band = err + step_err + rounding
-        # Gram entries and Cholesky intermediates stay below the trace, so a
-        # finite 4 * trace rules out overflow in the certificate
-        if band < threshold and math.isfinite(4.0 * trace):
-            clearance = (threshold + band + factor) * (1.0 + 8.0 * _EPS)
-            gram.flat[:: k + 1] -= clearance * clearance + 2.0 * g * trace + tiny * tiny
-            try:
-                np.linalg.cholesky(gram)
-                root = y[:q].T @ y[:q]
-                root.flat[:: k + 1] += 1.0
-                return c[q:] @ np.linalg.cholesky(root), step_err, q
-            except np.linalg.LinAlgError:
-                pass
-        q //= 2
-    return None
+    gram = grams[-1]
+    trace = float(gram.trace())
+    spread = k + float(yy.sum())
+    factor = math.sqrt(trace) * g * (4.0 * spread + 2.0 * math.sqrt(spread))
+    step_err = float(np.sum((1.0 + g) * norms + tiny + 2.0 * g * (
+        np.sqrt(np.einsum("ij,ij->j", slab, slab)) + frobenius * np.sqrt(yy)))) + factor
+    band = err + step_err + rounding
+    # Gram entries and Cholesky intermediates stay below the trace, so a
+    # finite 4 * trace rules out overflow in the certificate
+    if not (band < threshold and math.isfinite(4.0 * trace)):
+        return None
+    clearance = (threshold + band + factor) * (1.0 + 8.0 * _EPS)
+    gram.flat[:: k + 1] -= clearance * clearance + 2.0 * g * trace + tiny * tiny
+    try:
+        np.linalg.cholesky(gram)
+        root = y.T @ y
+        root.flat[:: k + 1] += 1.0
+        return c[p:] @ np.linalg.cholesky(root), step_err
+    except np.linalg.LinAlgError:
+        return None
 
 
 def _split_ranks(a: np.ndarray, block, tol: float, sigma_ref: float, order: int) -> list:
@@ -613,10 +600,13 @@ def _split_ranks(a: np.ndarray, block, tol: float, sigma_ref: float, order: int)
     only grows, so the batch's band is the largest of its splits'; k is
     fixed inside a batch, so the cost switch below is checked at every
     split it covers before it starts. ``c[p:]`` needs k rows for a
-    nonsingular Gram, which bounds p at the end of the sweep. After an
-    accepted batch the next is up to ``_SWEEP_BATCH`` columns; after an
-    SVD step it is one column, since the rank may still be moving, or
-    none when a failed certificate left the factor no wider.
+    nonsingular Gram, which bounds p at the end of the sweep. A batch is
+    folded whole or not at all: if any residual exceeds the floor or the
+    certificate fails, the step takes the thin SVD below for its first
+    split alone. After an accepted batch the next is up to
+    ``_SWEEP_BATCH`` columns; after an SVD step it is one column, since
+    the rank may still be moving, or none when a failed batch left the
+    factor no wider.
 
     An empty factor needs only the column's norm. Otherwise the step
     takes the thin SVD of ``w``. A count is taken from it only when no
@@ -672,10 +662,10 @@ def _split_ranks(a: np.ndarray, block, tol: float, sigma_ref: float, order: int)
                 p += 1
             step = p and _rank_stable_steps(c, a[i:, i - 1:i - 1 + p], threshold, err, rounding, floor)
             if step:
-                c, step_err, done = step
+                c, step_err = step
                 err += step_err
-                ranks.extend([k] * done)
-                i += done
+                ranks.extend([k] * p)
+                i += p
                 batch = _SWEEP_BATCH
                 continue
             u, s, _ = np.linalg.svd(np.column_stack((c[1:], col)), full_matrices=False)
@@ -687,9 +677,9 @@ def _split_ranks(a: np.ndarray, block, tol: float, sigma_ref: float, order: int)
             ranks.append(_rank_against(s, tol, sigma_ref))
         keep = s > floor
         err += float(s[~keep].sum()) + charge
-        # a failed certificate that left the factor no wider means one
+        # a failed batch that left the factor no wider means one
         # direction replaced another, which tends to go on: the next split
-        # skips its certificate. A rank still growing may stop at the next
+        # tries no batch. A rank still growing may stop at the next
         # split, so that one tries.
         batch = 0 if k and p and keep.sum() <= k else 1
         c = factor[:, keep]
@@ -730,9 +720,10 @@ def check_structure(
     threshold, up to ``_SWEEP_BATCH`` of them are folded into the
     factor at once, and one shifted Cholesky factorization of a Gram
     matrix proves that all k values clear the threshold in every block
-    they reach, so the rank stays k. An empty factor needs only the
-    column's norm. Thin SVDs remain where a block's rank changes or a
-    value comes near the threshold. Each count is certified: residuals
+    they reach, so the rank stays k. A batch is folded whole or not at
+    all; a rejected one leaves its first split to a thin SVD. An empty
+    factor needs only the column's norm. Thin SVDs remain where a
+    block's rank changes or a value comes near the threshold. Each count is certified: residuals
     and dropped singular values, with eps-scale rounding allowances,
     bound how far the factor's singular values can sit from the
     block's, and a block with a value inside that band of ``tol`` times
