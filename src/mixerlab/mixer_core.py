@@ -290,11 +290,15 @@ def _singular_values(mixer: MatrixMixer) -> np.ndarray:
 
     ``mixer.m`` is a private read-only copy, so the values computed on
     first use stay valid and are kept on the instance for later calls.
-    SVD non-convergence propagates as numpy's LinAlgError.
+    SVD non-convergence propagates as numpy's LinAlgError. A finite
+    matrix whose largest singular value overflows float64 raises
+    NumericRangeError, since no count against it means anything.
     """
     values = mixer.__dict__.get("_singular_values")
     if values is None:
         values = np.linalg.svd(mixer.m, compute_uv=False)
+        if not np.isfinite(values).all():
+            raise NumericRangeError("the matrix's largest singular value overflows float64")
         values.flags.writeable = False
         object.__setattr__(mixer, "_singular_values", values)
     return values

@@ -13,6 +13,7 @@ from mixerlab import (
     HydraParams,
     MatrixMixer,
     MixerClass,
+    NumericRangeError,
     ScanParams,
     StructureReport,
     approximation_error_curve,
@@ -355,6 +356,21 @@ class TestSketchedRank:
         width = 4 + mixer_core._SKETCH_OVERSAMPLE
         assert mixer_core._sketched_rank(m, DEFAULT_RANK_TOL, width) == (4 if certified else None)
         assert numerical_rank(MatrixMixer(m, MixerClass.low_rank(4))) == svd_rank(m) == 4
+
+    @pytest.mark.parametrize("tag", [
+        MixerClass.dense(), MixerClass.low_rank(4), MixerClass.quasiseparable(4),
+    ])
+    def test_overflowed_reference_scale_raises(self, tag):
+        """At entries up to 5e307 the rank-4 matrix is finite but its
+        largest singular value overflows, so there is no reference scale
+        to count against; at 2e307 it still fits and the count is 4."""
+        rng = np.random.default_rng(0)
+        m = rng.standard_normal((64, 4)) @ rng.standard_normal((4, 64))
+        m /= np.abs(m).max()
+        for count in (numerical_rank, lambda mixer: check_structure(mixer).max_offdiag_block_rank):
+            with pytest.raises(NumericRangeError, match="overflows"):
+                count(MatrixMixer(m * 5e307, tag))
+            assert count(MatrixMixer(m * 2e307, tag)) == 4
 
     def test_favor_head_map_takes_no_full_svd(self, monkeypatch):
         """A T=512, r=16 favor head map is counted without a (T, T) SVD;
