@@ -43,6 +43,25 @@ def random_params(rng, T, N, a_lo=0.05):
     )
 
 
+# Decays near 0, in the middle and near 1, with lengths on both sides of a
+# power of two and one past 2048, for the scan-against-matrix checks
+DECAYS = {
+    "near0": lambda rng, T: 10.0 ** rng.uniform(-300, -3, T),
+    "mid": lambda rng, T: rng.uniform(0.05, 1.0, T),
+    "near1": lambda rng, T: 1.0 - rng.uniform(0.0, 1e-9, T),
+}
+oracle_cases = pytest.mark.parametrize("T", [15, 16, 17, 2049])
+oracle_decays = pytest.mark.parametrize("decays", list(DECAYS))
+
+
+def decay_params(rng, T, N, decays):
+    return ScanParams(
+        a=DECAYS[decays](rng, T),
+        b=rng.standard_normal((T, N)),
+        c=rng.standard_normal((T, N)),
+    )
+
+
 def hand_loop_scan(p, X):
     """The recurrence step by step and channel by channel over (T, d)
     input, written out independently of the package's scan."""
@@ -149,10 +168,12 @@ class TestSsmScan:
             expected[t] = p.c[t] @ h
         np.testing.assert_allclose(ssm_scan(p, x), expected, atol=1e-14)
 
-    def test_matches_materialized_mixer(self):
+    @oracle_cases
+    @oracle_decays
+    def test_matches_materialized_mixer(self, T, decays):
         rng = np.random.default_rng(2)
-        p = random_params(rng, 5, 3)
-        x = rng.standard_normal(5)
+        p = decay_params(rng, T, 3, decays)
+        x = rng.standard_normal(T)
         via = apply_mixer(ssm_mixer(p), FeatureSequence(x[:, None])).data[:, 0]
         np.testing.assert_allclose(ssm_scan(p, x), via, atol=1e-10)
 
@@ -368,10 +389,12 @@ class TestBiMamba:
             bimamba_apply(BiMambaParams(fwd, bwd), x), ssm_scan(fwd, x), atol=1e-14
         )
 
-    def test_matches_materialized_mixer(self):
+    @oracle_cases
+    @oracle_decays
+    def test_matches_materialized_mixer(self, T, decays):
         rng = np.random.default_rng(4)
-        T, N = 5, 2
-        p = BiMambaParams(random_params(rng, T, N), random_params(rng, T, N))
+        N = 2
+        p = BiMambaParams(decay_params(rng, T, N, decays), decay_params(rng, T, N, decays))
         x = rng.standard_normal(T)
         via = apply_mixer(bimamba_mixer(p), FeatureSequence(x[:, None])).data[:, 0]
         np.testing.assert_allclose(bimamba_apply(p, x), via, atol=1e-10)
@@ -441,11 +464,13 @@ class TestHydra:
         p = HydraParams(zero_b, zero_b2, diag_delta=np.zeros(T))
         assert np.array_equal(hydra_apply(p, rng.standard_normal(T)), np.zeros(T))
 
-    def test_matches_materialized_mixer(self):
+    @oracle_cases
+    @oracle_decays
+    def test_matches_materialized_mixer(self, T, decays):
         rng = np.random.default_rng(6)
-        T, N = 7, 3
+        N = 3
         p = HydraParams(
-            random_params(rng, T, N), random_params(rng, T, N), rng.standard_normal(T)
+            decay_params(rng, T, N, decays), decay_params(rng, T, N, decays), rng.standard_normal(T)
         )
         x = rng.standard_normal(T)
         via = apply_mixer(hydra_mixer(p), FeatureSequence(x[:, None])).data[:, 0]
