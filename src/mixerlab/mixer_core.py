@@ -727,11 +727,12 @@ def check_structure(
     they reach, so the rank stays k. A batch is folded whole or not at
     all; a rejected one leaves its first split to a thin SVD. An empty
     factor needs only the column's norm. Thin SVDs remain where a
-    block's rank changes or a value comes near the threshold. Each count is certified: residuals
-    and dropped singular values, with eps-scale rounding allowances,
-    bound how far the factor's singular values can sit from the
-    block's, and a block with a value inside that band of ``tol`` times
-    the reference scale is recounted with an exact SVD. A side whose
+    block's rank changes or a value comes near the threshold. Each
+    count is certified: residuals and dropped singular values, with
+    eps-scale rounding allowances, bound how far the factor's singular
+    values can sit from the block's, and a block with a value inside
+    that band of ``tol`` times the reference scale is recounted with an
+    exact SVD. A side whose
     kept rank grows so large that the thin SVDs cost more than exact
     ones finishes with exact SVDs. The report is the one exact block
     SVDs give.

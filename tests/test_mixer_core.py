@@ -735,8 +735,9 @@ class TestCompressedSweep:
         [c[j+1:], cols] lie within step_err of those of the certified
         factor c[j+1:] L_j (and of zero past its width), whose values all
         clear threshold + band; and the new factor's values lie within
-        step_err of the last block's and clear threshold + band too. Entries above each
-        column's first row belong to other blocks and must not count.
+        step_err of the last block's and clear threshold + band too.
+        Entries above each column's first row belong to other blocks and
+        must not count.
 
         Half the cases put one column's residual a little below or above
         the floor, which decides whether the batch is accepted. The other

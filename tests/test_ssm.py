@@ -43,14 +43,14 @@ def random_params(rng, T, N, a_lo=0.05):
     )
 
 
-# Decays near 0, in the middle and near 1, with lengths on both sides of a
-# power of two and one past 2048, for the scan-against-matrix checks
+# The scan-against-matrix checks run at decays near 0, in the middle and
+# near 1, and at lengths on both sides of a power of two and past 2048
 DECAYS = {
     "near0": lambda rng, T: 10.0 ** rng.uniform(-300, -3, T),
     "mid": lambda rng, T: rng.uniform(0.05, 1.0, T),
     "near1": lambda rng, T: 1.0 - rng.uniform(0.0, 1e-9, T),
 }
-oracle_cases = pytest.mark.parametrize("T", [15, 16, 17, 2049])
+oracle_lengths = pytest.mark.parametrize("T", [15, 16, 17, 2049])
 oracle_decays = pytest.mark.parametrize("decays", list(DECAYS))
 
 
@@ -168,7 +168,7 @@ class TestSsmScan:
             expected[t] = p.c[t] @ h
         np.testing.assert_allclose(ssm_scan(p, x), expected, atol=1e-14)
 
-    @oracle_cases
+    @oracle_lengths
     @oracle_decays
     def test_matches_materialized_mixer(self, T, decays):
         rng = np.random.default_rng(2)
@@ -389,7 +389,7 @@ class TestBiMamba:
             bimamba_apply(BiMambaParams(fwd, bwd), x), ssm_scan(fwd, x), atol=1e-14
         )
 
-    @oracle_cases
+    @oracle_lengths
     @oracle_decays
     def test_matches_materialized_mixer(self, T, decays):
         rng = np.random.default_rng(4)
@@ -464,7 +464,7 @@ class TestHydra:
         p = HydraParams(zero_b, zero_b2, diag_delta=np.zeros(T))
         assert np.array_equal(hydra_apply(p, rng.standard_normal(T)), np.zeros(T))
 
-    @oracle_cases
+    @oracle_lengths
     @oracle_decays
     def test_matches_materialized_mixer(self, T, decays):
         rng = np.random.default_rng(6)
