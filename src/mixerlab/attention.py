@@ -43,7 +43,6 @@ from .mixer_core import (
     _as_float_array,
     _check_int,
     _freeze,
-    _is_real,
 )
 from .rng import make_rng
 
@@ -148,21 +147,18 @@ class OrthogonalFeatureMatrix(_Frozen):
 
 @dataclass(frozen=True)
 class RopeConfig:
-    """Rotary position embedding parameters for one head width.
+    """Rotary position embedding for one head width.
 
     ``d_head`` must be even: positions rotate consecutive coordinate
-    pairs, pair i at position t by angle t * base**(-2 i / d_head).
+    pairs, pair i at position t by angle t * 10000**(-2 i / d_head).
     """
 
     d_head: int
-    base: float = 10000.0
 
     def __post_init__(self) -> None:
         _check_int("d_head", self.d_head, 2)
         if self.d_head % 2 != 0:
             raise ValueError(f"rotary embedding needs an even d_head, got {self.d_head}")
-        if not (_is_real(self.base) and self.base > 0):
-            raise ValueError(f"base must be a positive finite number, got {self.base!r}")
 
 
 @dataclass(frozen=True)
@@ -443,11 +439,14 @@ def _favor_weights(q, k, omega: OrthogonalFeatureMatrix, out=None, features=None
     return out
 
 
+_ROPE_BASE = 10000.0
+
+
 @functools.lru_cache(maxsize=4)
-def _rope_tables(T: int, d: int, base: float) -> Tuple[np.ndarray, np.ndarray]:
+def _rope_tables(T: int, d: int) -> Tuple[np.ndarray, np.ndarray]:
     # read-only: every caller of apply_rope shares these arrays; at most
     # four entries of 8 * T * d bytes (~33 MB at T=65536, d=64)
-    inv_freq = base ** (-2.0 * np.arange(d // 2) / d)
+    inv_freq = _ROPE_BASE ** (-2.0 * np.arange(d // 2) / d)
     angles = np.arange(T)[:, None] * inv_freq[None, :]
     cos, sin = np.cos(angles), np.sin(angles)
     cos.flags.writeable = False
@@ -459,7 +458,7 @@ def apply_rope(x, config: RopeConfig) -> np.ndarray:
     """Rotate each row of ``x`` by its position's rotary angles.
 
     Row t has its coordinate pair (x[2i], x[2i+1]) rotated by the angle
-    t * base**(-2 i / d_head). Positions are 0-based row indices.
+    t * 10000**(-2 i / d_head). Positions are 0-based row indices.
     Rotation preserves row norms, and inner products between rotated
     rows depend on their position difference only.
     """
@@ -467,7 +466,7 @@ def apply_rope(x, config: RopeConfig) -> np.ndarray:
     if x.shape[1] != config.d_head:
         raise ShapeError(f"x has width {x.shape[1]}, config expects {config.d_head}")
     T, d = x.shape
-    cos, sin = _rope_tables(T, d, float(config.base))
+    cos, sin = _rope_tables(T, d)
     even, odd = x[:, 0::2], x[:, 1::2]
     out = np.empty_like(x)
     out[:, 0::2] = cos * even - sin * odd

@@ -19,7 +19,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from statistics import median
-from typing import Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
@@ -76,17 +76,15 @@ class BenchSample:
 
 @dataclass(frozen=True)
 class ScalingReport:
-    """Fitted log-log line for one op across sequence lengths."""
+    """Slope and R^2 of one op's fitted log-log line across sequence lengths."""
 
     op_label: str
     fitted_slope: float
     r_squared: float
-    samples: Tuple[BenchSample, ...]
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.r_squared <= 1.0:
             raise ValueError(f"r_squared must be in [0, 1], got {self.r_squared!r}")
-        object.__setattr__(self, "samples", tuple(self.samples))
 
 
 def _random_qkv(rng: np.random.Generator, T: int, d: int) -> QkvTriple:
@@ -235,7 +233,6 @@ def fit_loglog_slope(samples: Sequence[BenchSample]) -> ScalingReport:
         op_label=samples[0].op_label,
         fitted_slope=float(slope),
         r_squared=r2,
-        samples=tuple(samples),
     )
 
 

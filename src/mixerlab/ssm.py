@@ -53,7 +53,6 @@ axes of the backward matrix, which is the same thing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -91,20 +90,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ScanParams(_Frozen):
-    """Per-step scan parameters: decays ``a`` (T,), inputs ``b`` (T, N),
-    readouts ``c`` (T, N), and the step sizes ``delta`` (T,) that
-    produced them.
+    """Per-step scan parameters: decays ``a`` (T,), inputs ``b`` (T, N)
+    and readouts ``c`` (T, N).
 
-    ``delta`` is carried for inspection; the recurrence itself never
-    reads it because ``b`` is already delta-scaled. Defaults to ones for
-    directly constructed parameters. Decays must lie in (0, 1] and step
-    sizes must be positive.
+    A selective step size is already folded into ``a`` and ``b`` (see
+    :func:`selective_parameterize`), so these three are all the
+    recurrence and its matrix read. Decays must lie in (0, 1].
     """
 
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
-    delta: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
         a, b, c = _freeze(self, a=1, b=2, c=2)
@@ -117,13 +113,6 @@ class ScanParams(_Frozen):
             raise ShapeError(f"b and c must share one shape, got {b.shape} and {c.shape}")
         if np.any(a <= 0.0) or np.any(a > 1.0):
             raise NumericRangeError("decays a must lie in (0, 1]")
-        if self.delta is None:
-            object.__setattr__(self, "delta", _Fresh(np.ones(T)))
-        (delta,) = _freeze(self, delta=1)
-        if delta.shape[0] != T:
-            raise ShapeError(f"delta has length {delta.shape[0]}, expected {T}")
-        if np.any(delta <= 0.0):
-            raise NumericRangeError("step sizes delta must be positive")
 
     @property
     def T(self) -> int:
@@ -333,7 +322,7 @@ def selective_parameterize(x: FeatureSequence, weights: SelectiveWeights) -> Sca
         c = x.data @ weights.w_c.T
     if not (np.all(np.isfinite(b)) and np.all(np.isfinite(c))):
         raise NumericRangeError("scan parameters overflowed")
-    return ScanParams(a=_Fresh(a), b=_Fresh(b), c=_Fresh(c), delta=_Fresh(delta))
+    return ScanParams(a=_Fresh(a), b=_Fresh(b), c=_Fresh(c))
 
 
 def _selective_pair(x: FeatureSequence, fwd: SelectiveWeights, bwd: SelectiveWeights):

@@ -181,9 +181,8 @@ class TestBenchCsv:
         assert float(rows[1][1]) == pytest.approx(1.0, abs=1e-9)
 
     def test_scaling_report_validation(self):
-        samples = synthetic_samples("ssm_scan", [64, 128, 256], [1e-4, 2e-4, 4e-4])
         with pytest.raises(ValueError):
-            ScalingReport("ssm_scan", 1.0, 1.5, tuple(samples))
+            ScalingReport("ssm_scan", 1.0, 1.5)
 
 
 @pytest.mark.slow

@@ -589,7 +589,7 @@ class TestStack:
         cfg = BlockStackConfig(d_model=8, num_blocks=1, kernel_size=3, mixer_kind=kind,
                                num_heads=2, feature_count=8)
         (block,) = init_stack(cfg, 3)
-        assert block.mixer_config.rope == RopeConfig(4, 10000.0)
+        assert block.mixer_config.rope == RopeConfig(4)
         odd = replace(cfg, d_model=6)
         (block,) = init_stack(odd, 3)
         assert block.mixer_config.rope is None

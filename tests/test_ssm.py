@@ -93,19 +93,6 @@ class TestScanParams:
         with pytest.raises(ValueError):
             ScanParams(a=np.array([0.5, 0.0]), b=np.ones((2, 1)), c=np.ones((2, 1)))
 
-    def test_delta_defaults_to_ones(self):
-        p = ScanParams(a=np.ones(3), b=np.ones((3, 2)), c=np.ones((3, 2)))
-        assert np.array_equal(p.delta, np.ones(3))
-
-    def test_nonpositive_delta_rejected(self):
-        with pytest.raises(ValueError):
-            ScanParams(
-                a=np.ones(2),
-                b=np.ones((2, 1)),
-                c=np.ones((2, 1)),
-                delta=np.array([1.0, 0.0]),
-            )
-
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             ScanParams(a=np.ones(3), b=np.ones((2, 1)), c=np.ones((3, 1)))
@@ -124,8 +111,6 @@ def _weights(d, N, width=None):
 @pytest.mark.parametrize("call, error, match", [
     (lambda: ScanParams(a=np.ones(3), b=np.ones((3, 2)), c=np.ones((3, 1))), ShapeError,
      "b and c must share one shape"),
-    (lambda: ScanParams(a=np.ones(3), b=np.ones((3, 1)), c=np.ones((3, 1)), delta=np.ones(2)),
-     ShapeError, "delta has length 2, expected 3"),
     (lambda: SelectiveWeights(np.ones(2), 0.0, np.ones((1, 2)), np.ones((2, 2)), 0.0),
      ShapeError, "w_b and w_c must share one shape"),
     (lambda: _weights(2, 1, width=3), ShapeError, "w_b expects width 3 but w_delta has 2"),
@@ -146,7 +131,7 @@ def _weights(d, N, width=None):
      ShapeError, "sequence width 2 != weight width 3"),
     (lambda: hydra_channelwise(FeatureSequence(np.ones((3, 2))), _weights(2, 1), _weights(2, 1),
                                np.ones(3)), ShapeError, "diag_gain has length 3, expected 2"),
-], ids=["scan-b-c", "scan-delta", "weights-b-c", "weights-width", "bimamba-pair", "hydra-pair",
+], ids=["scan-b-c", "weights-b-c", "weights-width", "bimamba-pair", "hydra-pair",
         "bimamba-channelwise-N", "hydra-diag", "ssm_scan-x", "bimamba_apply-x", "hydra_apply-x",
         "segment-index", "parameterize-width", "hydra-channelwise-gain"])
 def test_refusals(call, error, match):
@@ -300,12 +285,6 @@ class TestSelectiveParameterize:
         p = selective_parameterize(x, self.make_weights(rng, 4, 3))
         assert np.all(p.a > 0.0)
         assert np.all(p.a <= 1.0)
-
-    def test_rate_positive(self):
-        rng = np.random.default_rng(14)
-        x = FeatureSequence(rng.standard_normal((5, 4)))
-        p = selective_parameterize(x, self.make_weights(rng, 4, 2))
-        assert np.all(p.delta > 0.0)
 
     def test_projections_match_direct_multiplication(self):
         rng = np.random.default_rng(15)
