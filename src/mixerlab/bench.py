@@ -180,10 +180,13 @@ def time_operation(
     Seeded inputs for every length (untimed), then a warmup round whose
     times are dropped and ``repeats`` timed rounds, each over all lengths,
     so that a slow spell of the host hits every length alike; each
-    length's median is recorded.
+    length's median is recorded. A scan times one channel, so ``d`` must
+    be 1 for the scan labels.
     """
     if op_label not in OP_LABELS:
         raise ValueError(f"unknown op_label {op_label!r}; expected one of {OP_LABELS}")
+    if op_label.endswith("_scan") and d != 1:
+        raise ValueError(f"{op_label} times a one-channel signal, so d must be 1, got {d!r}")
     ts = list(T_values)
     if any(not _is_int(t) or t < 1 for t in ts):
         raise ValueError(f"T_values entries must be positive integers, got {ts!r}")

@@ -108,8 +108,9 @@ class TestFitLoglogSlope:
 class TestTimeOperation:
     def test_every_label_produces_samples(self):
         for label in OP_LABELS:
+            d = 1 if label.endswith("_scan") else 4
             samples = time_operation(
-                label, [16, 32, 64], d=4, r_or_N=4, repeats=3, seed=0
+                label, [16, 32, 64], d=d, r_or_N=4, repeats=3, seed=0
             )
             assert [s.T for s in samples] == [16, 32, 64]
             assert all(s.op_label == label for s in samples)
@@ -119,6 +120,16 @@ class TestTimeOperation:
     def test_unknown_label_rejected(self):
         with pytest.raises(ValueError):
             time_operation("bogus", [16, 32, 64], d=4, r_or_N=4, repeats=3, seed=0)
+
+    @pytest.mark.parametrize("label", ["ssm_scan", "bimamba_scan", "hydra_scan"])
+    def test_scan_width_must_be_one(self, label, monkeypatch):
+        """A scan draws a one-channel signal whatever d says, so a sample
+        recording another width would misreport what was timed."""
+        built = []
+        monkeypatch.setattr(bench, "_setup", lambda *args: built.append(args))
+        with pytest.raises(ValueError, match="d must be 1, got 64"):
+            time_operation(label, [8, 16, 32], d=64, r_or_N=4, repeats=3, seed=0)
+        assert built == []
 
     def test_two_sizes_rejected(self):
         with pytest.raises(ValueError, match="need at least 3 sequence lengths, got 2"):
