@@ -227,10 +227,9 @@ def fit_loglog_slope(samples: Sequence[BenchSample]) -> ScalingReport:
     resid = y - (slope * x + intercept)
     ss_res = float(np.sum(resid * resid))
     ss_tot = float(np.sum((y - y.mean()) ** 2))
-    if ss_tot == 0.0:
-        r2 = 1.0 if ss_res == 0.0 else 0.0
-    else:
-        r2 = 1.0 - ss_res / ss_tot
+    # equal times leave no variance to explain and the flat line fits them
+    # exactly, though rounding can leave ss_tot and ss_res just above zero
+    r2 = 1.0 if np.all(y == y[0]) else 1.0 - ss_res / ss_tot
     r2 = min(1.0, max(0.0, r2))
     return ScalingReport(
         op_label=samples[0].op_label,

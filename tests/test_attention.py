@@ -616,6 +616,25 @@ class TestRope:
         assert _rope_tables.cache_info().currsize <= maxsize
 
 
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: OrthogonalFeatureMatrix(np.array([[1.0, 0.0], [0.0, 0.0]]), seed=0),
+     NumericRangeError, "feature rows must have positive norm"),
+    (lambda: MhaWeights(np.ones((2, 3)), np.ones((2, 3)), np.ones((2, 3)), np.ones((2, 3))),
+     ShapeError, "wq must be square, got shape \\(2, 3\\)"),
+    (lambda: MhaWeights(np.eye(2), np.eye(2), np.eye(3), np.eye(2)), ShapeError,
+     "wv has shape \\(3, 3\\), expected \\(2, 2\\)"),
+    (lambda: apply_rope(np.ones((3, 4)), RopeConfig(2)), ShapeError,
+     "x has width 4, config expects 2"),
+    (lambda: multi_head_attention(FeatureSequence(np.ones((3, 2))),
+                                  MhaWeights(*(np.eye(4) for _ in range(4))),
+                                  MultiHeadConfig(d_model=4, num_heads=2)),
+     ShapeError, "sequence width 2 != d_model 4"),
+], ids=["feature-row-norm", "mha-square", "mha-shapes", "rope-width", "mha-width"])
+def test_refusals(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
 def _attention_parts(**overrides):
     """Valid parts of a favor attention mixer (d_model 4, two heads of 2),
     with any of them replaced."""

@@ -97,6 +97,14 @@ class TestFitLoglogSlope:
         with pytest.raises(ValueError):
             fit_loglog_slope(samples)
 
+    @pytest.mark.parametrize("wall_time", [1e-4, 3.7e-3, 0.25, 1.0])
+    def test_equal_times_fit_flat_and_exactly(self, wall_time):
+        """Equal times leave no variance to explain, and a flat line fits
+        every point: R^2 is 1 whatever rounding leaves in the sums."""
+        report = fit_loglog_slope(synthetic_samples("ssm_scan", [64, 128, 256], [wall_time] * 3))
+        assert report.fitted_slope == pytest.approx(0.0, abs=1e-12)
+        assert report.r_squared == 1.0
+
     def test_r_squared_clamped_to_unit_interval(self):
         rng = np.random.default_rng(1)
         T_values = [64, 128, 256, 512]

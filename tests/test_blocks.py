@@ -472,6 +472,36 @@ def _selective(d, N):
                             rng.standard_normal((N, d)), 0.0)
 
 
+def _block(d=8):
+    """A width-d hydra block."""
+    (block,) = init_stack(BlockStackConfig(d_model=d, num_blocks=1, kernel_size=3, state_size=4), 3)
+    return block
+
+
+def _conv(d, bias_length=None):
+    return DilatedConvWeights(np.ones((d, 3)), 1, np.zeros(d if bias_length is None else bias_length))
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: FfwWeights(np.zeros((4, 8)), np.zeros(7), np.zeros((8, 4)), np.zeros(4)), ShapeError,
+     "inconsistent ffw shapes"),
+    (lambda: _conv(4, bias_length=3), ShapeError, "bias has length 3, kernel has 4 channels"),
+    (lambda: dilated_dw_conv(FeatureSequence(np.ones((5, 3))), _conv(4)), ShapeError,
+     "sequence width 3 != conv width 4"),
+    (lambda: layer_norm_apply(FeatureSequence(np.ones((2, 4))), np.ones(4), np.ones(3)),
+     ShapeError, "scale/shift lengths 4/3 != width 4"),
+    (lambda: mixer_apply(FeatureSequence(np.ones((2, 8))), "hydra"), TypeError,
+     "not a mixer config: str"),
+    (lambda: replace(_block(), conv=_conv(5)), ShapeError, "block widths disagree"),
+    (lambda: block_forward(FeatureSequence(np.ones((3, 5))), _block()), ShapeError,
+     "sequence width 5 != block width 8"),
+], ids=["ffw-shapes", "conv-bias", "conv-width", "norm-lengths", "mixer-config", "block-widths",
+        "block-width"])
+def test_refusals(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
 class TestScanMixerConfig:
     def test_kind_follows_diag_gain(self):
         sel = _selective(3, 2)

@@ -157,6 +157,8 @@ class TestRunConfig:
             RunConfig(tol=0.0)
         with pytest.raises(ConfigError):
             RunConfig(r_values=())
+        with pytest.raises(ConfigError, match="zero_weights must be a boolean, got 1"):
+            RunConfig(zero_weights=1)
 
     def test_first_bad_int_field_is_named(self):
         """Positive-int fields are checked in field order."""
@@ -274,6 +276,17 @@ class TestExitCodes:
     def test_empty_list_is_config_error(self, tmp_path, capsys):
         assert main(["diagnose", "--r_values", ",", "--out", str(tmp_path)]) == 2
         assert "empty list" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args, message", [
+        (["demo", "--out", ""], "output_dir must be a nonempty path"),
+        (["diagnose", "--qk_dump", ""], "qk_dump must be a path"),
+        (["demo", "--zero_weights", "maybe"], "not a boolean: 'maybe'"),
+    ], ids=["out", "qk_dump", "zero_weights"])
+    def test_bad_path_or_flag_is_config_error(self, tmp_path, capsys, args, message):
+        out = [] if "--out" in args else ["--out", str(tmp_path)]
+        assert main(args + out) == 2
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_config_file_is_io_error(self, tmp_path, capsys):
         assert main(["equiv", "--config", str(tmp_path / "absent.cfg")]) == 3

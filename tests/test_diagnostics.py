@@ -13,6 +13,7 @@ from mixerlab import (
     HydraParams,
     MatrixMixer,
     MixerClass,
+    MixerReport,
     NumericRangeError,
     ScanParams,
     StructureReport,
@@ -372,6 +373,18 @@ class TestSketchedRank:
                 count(MatrixMixer(m * 5e307, tag))
             assert count(MatrixMixer(m * 2e307, tag)) == 4
 
+    def test_sketch_declines_a_basis_far_from_orthonormal(self, monkeypatch):
+        """A QR basis of twice the unit length has a Gram far from the
+        identity (eta >= 1/2), so the sketch certifies nothing and the
+        full SVD's count stands."""
+        rng = np.random.default_rng(0)
+        m = rng.standard_normal((64, 4)) @ rng.standard_normal((4, 64))
+        original = np.linalg.qr
+        monkeypatch.setattr(np.linalg, "qr", lambda a: (2.0 * original(a)[0], original(a)[1]))
+        width = 4 + mixer_core._SKETCH_OVERSAMPLE
+        assert mixer_core._sketched_rank(m, DEFAULT_RANK_TOL, width) is None
+        assert numerical_rank(MatrixMixer(m, MixerClass.low_rank(4))) == svd_rank(m) == 4
+
     def test_favor_head_map_takes_no_full_svd(self, monkeypatch):
         """A T=512, r=16 favor head map is counted without a (T, T) SVD;
         the same size softmax map tagged low_rank(16) takes one."""
@@ -580,6 +593,15 @@ class TestPairwiseHistogram:
         with pytest.raises(ValueError, match="counts must be integer-valued|total must be"):
             Histogram(np.array([0.0, 1.0]), np.array(counts), total)
 
+    @pytest.mark.parametrize("edges, counts, total, match", [
+        ([0.0, 1.0], [[1]], 1, "counts must be 1-dimensional, got shape \\(1, 1\\)"),
+        ([0.0, 1.0, 2.0], [1], 1, "3 edges do not delimit 1 bins"),
+        ([0.0, 1.0, 2.0], [-1, 1], 0, "counts must be nonnegative"),
+    ], ids=["counts-ndim", "edge-count", "negative-count"])
+    def test_histogram_refusals(self, edges, counts, total, match):
+        with pytest.raises(ValueError, match=match):
+            Histogram(np.array(edges), np.array(counts), total)
+
     def test_histogram_stores_integer_valued_float_counts_as_int64(self):
         h = Histogram(np.array([0.0, 1.0, 2.0]), np.array([2.0, 0.0]), 2)
         assert h.counts.dtype == np.int64 and h.counts.tolist() == [2, 0]
@@ -692,7 +714,7 @@ class TestApproximationErrorCurve:
     @pytest.mark.parametrize(
         "r_values, seeds",
         [([16.7], [1]), ([True], [1]), ([np.int64(8)], [1]), ([8, 0], [1]),
-         ([8], [1.9]), ([8], [True]), ([8], [-1]), ([8], [1, "2"])],
+         ([8], [1.9]), ([8], [True]), ([8], [-1]), ([8], [1, "2"]), ([], [1]), ([8], [])],
     )
     def test_non_integer_r_or_seed_refused_before_any_draw(self, monkeypatch, r_values, seeds):
         drawn = []
@@ -731,6 +753,15 @@ class TestReportsAndCsv:
         assert hi == float(np.max(sums))
         assert len(rep.windows) == len(rep.locality)
         assert rep.l2_histogram.total == 28
+
+    @pytest.mark.parametrize("rank, windows, match", [
+        (-1, (0,), "rank must be nonnegative, got -1"),
+        (1, (0, 1), "windows and locality lengths differ"),
+    ])
+    def test_report_refusals(self, rank, windows, match):
+        hist = Histogram(np.array([0.0, 1.0]), np.array([1]), 1)
+        with pytest.raises(ValueError, match=match):
+            MixerReport("x", rank, (0.0, 0.0), hist, windows, (1.0,))
 
     def test_report_windows_validated_before_conversion(self):
         m = dense(np.random.default_rng(28).standard_normal((8, 8)))
