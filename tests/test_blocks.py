@@ -43,6 +43,7 @@ from mixerlab import (
     validate_stack,
     with_zeroed_projections,
 )
+from mixerlab.cli import main
 
 
 def _silu_reference(x):
@@ -939,3 +940,82 @@ class TestTensorContainer:
         tampered[name] = tensors[name] + 1.0
         with pytest.raises(ValueError):
             stack_from_tensors(cfg, tampered, 31)
+
+    def test_stack_container_mutants_load_or_raise(self, tmp_path):
+        """Every seeded mutant of a favor stack's container either loads
+        through stack_from_tensors or raises ValueError. A mutant that
+        loads kept the original manifest: only a payload bit flip gets
+        through, since the format holds no payload checksum."""
+        cfg = BlockStackConfig(d_model=8, num_blocks=1, kernel_size=3, mixer_kind="favor",
+                               num_heads=2, feature_count=4)
+        path = tmp_path / "stack.bin"
+        save_tensors(path, stack_to_tensors(init_stack(cfg, 5)))
+        data = path.read_bytes()
+        header = data[: data.index(b"\n\n") + 2]
+        outcomes = {"loaded": 0, "refused": 0}
+        for kind, mutant in _container_mutants(data, seed=13, per_kind=50):
+            path.write_bytes(mutant)
+            try:
+                stack_from_tensors(cfg, load_tensors(path), 5)
+            except ValueError:
+                outcomes["refused"] += 1
+                continue
+            outcomes["loaded"] += 1
+            assert kind == "flip" and mutant.startswith(header) and len(mutant) == len(data)
+        assert outcomes["refused"] > 0 and outcomes["loaded"] > 0, outcomes
+
+    def test_qk_dump_mutants_load_or_exit_2(self, tmp_path, capsys):
+        """Every seeded mutant of a q/k dump either loads or raises
+        ValueError, and ``diagnose --qk_dump`` exits 2 on the refused ones
+        and 0 or 2 on the rest (a flipped value can overflow the feature
+        map). A mutant that loads kept the original manifest."""
+        rng = np.random.default_rng(6)
+        path = tmp_path / "qk.bin"
+        save_tensors(path, {"q": rng.standard_normal((8, 4)), "k": rng.standard_normal((8, 4))})
+        data = path.read_bytes()
+        header = data[: data.index(b"\n\n") + 2]
+        args = ["diagnose", "--qk_dump", str(path), "--r", "4", "--approx_seeds", "1",
+                "--r_values", "2", "--out", str(tmp_path / "out")]
+        codes = {0: 0, 2: 0}
+        for kind, mutant in _container_mutants(data, seed=14, per_kind=50):
+            path.write_bytes(mutant)
+            try:
+                load_tensors(path)
+                loaded = True
+            except ValueError:
+                loaded = False
+            code = main(args)
+            assert code == 2 or (code == 0 and loaded), (kind, code)
+            codes[code] += 1
+            if loaded:
+                assert kind == "flip" and mutant.startswith(header) and len(mutant) == len(data)
+        capsys.readouterr()
+        assert codes[0] > 0 and codes[2] > 0, codes
+
+
+def _container_mutants(data, seed, per_kind):
+    """Seeded mutants of a container's bytes, ``per_kind`` of each kind,
+    as (kind, bytes): a bit flip anywhere, a truncation, a manifest line
+    duplicated, two manifest lines swapped, random bytes appended, and
+    one to four bytes deleted from the header."""
+    rng = np.random.default_rng(seed)
+    end = data.index(b"\n\n") + 1
+    lines, payload = data[:end].split(b"\n")[:-1], data[end + 1:]
+
+    def with_lines(new_lines):
+        return b"\n".join(new_lines) + b"\n\n" + payload
+
+    for _ in range(per_kind):
+        bit = int(rng.integers(8 * len(data)))
+        flipped = bytearray(data)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        yield "flip", bytes(flipped)
+        yield "truncate", data[: int(rng.integers(len(data)))]
+        i, j = (int(v) for v in rng.choice(len(lines), 2, replace=False))
+        yield "duplicate", with_lines(lines[:j] + [lines[i]] + lines[j:])
+        swapped = list(lines)
+        swapped[i], swapped[j] = swapped[j], swapped[i]
+        yield "swap", with_lines(swapped)
+        yield "append", data + rng.bytes(int(rng.integers(1, 17)))
+        lo = int(rng.integers(end + 1))
+        yield "delete-header", data[:lo] + data[lo + int(rng.integers(1, 5)):]
