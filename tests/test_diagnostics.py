@@ -380,7 +380,12 @@ class TestSketchedRank:
         rng = np.random.default_rng(0)
         m = rng.standard_normal((64, 4)) @ rng.standard_normal((4, 64))
         original = np.linalg.qr
-        monkeypatch.setattr(np.linalg, "qr", lambda a: (2.0 * original(a)[0], original(a)[1]))
+
+        def doubled(a):
+            q, r = original(a)
+            return 2.0 * q, r
+
+        monkeypatch.setattr(np.linalg, "qr", doubled)
         width = 4 + mixer_core._SKETCH_OVERSAMPLE
         assert mixer_core._sketched_rank(m, DEFAULT_RANK_TOL, width) is None
         assert numerical_rank(MatrixMixer(m, MixerClass.low_rank(4))) == svd_rank(m) == 4
